@@ -11,7 +11,6 @@ pub mod algos;
 pub mod anytime;
 pub mod cache;
 pub mod cli;
-pub mod meta;
 pub mod table;
 pub mod timing;
 

@@ -9,21 +9,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (Duration, T) {
     (start.elapsed(), out)
 }
 
-/// Runs `f` `reps` times and returns the median wall time together with the
-/// last output (the harness reports medians to damp single-core noise).
-pub fn median_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
-    assert!(reps >= 1);
-    let mut times = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps {
-        let (d, out) = time(&mut f);
-        times.push(d);
-        last = Some(out);
-    }
-    times.sort_unstable();
-    (times[times.len() / 2], last.expect("reps >= 1"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,16 +21,5 @@ mod tests {
         });
         assert_eq!(v, 42);
         assert!(d >= Duration::from_millis(4));
-    }
-
-    #[test]
-    fn median_of_returns_middle() {
-        let mut calls = 0;
-        let (_, out) = median_of(3, || {
-            calls += 1;
-            calls
-        });
-        assert_eq!(out, 3);
-        assert_eq!(calls, 3);
     }
 }

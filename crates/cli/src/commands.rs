@@ -5,8 +5,6 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use anyscan::explore::EpsilonExplorer;
-use anyscan::hierarchy::EpsilonHierarchy;
 use anyscan::telemetry::MetaValue;
 use anyscan::{
     anyscan, AnyScan, AnyScanConfig, Checkpoint, Counter, PartialResult, Phase, Recorder,
@@ -22,8 +20,9 @@ use anyscan_graph::io::{read_binary, read_edge_list, write_binary, write_edge_li
 use anyscan_graph::reorder;
 use anyscan_graph::stats::graph_stats;
 use anyscan_graph::{CsrGraph, ReorderMode, VertexPermutation};
+use anyscan_index::hierarchy::EpsilonHierarchy;
 use anyscan_index::io::{read_index, write_index};
-use anyscan_index::{IndexBuildOptions, SimilarityIndex};
+use anyscan_index::{explore, IndexBuildOptions, SimilarityIndex};
 use anyscan_scan_common::sketch::{DEFAULT_BITS, DEFAULT_ROWS, MAX_ROWS, VALID_BITS};
 use anyscan_scan_common::{
     Clustering, HubBitmaps, ScanParams, SketchMode, HASH_PROBE_MISMATCH_RATIO, NOISE,
@@ -531,10 +530,10 @@ pub fn explore(opts: &Options) -> CmdResult {
         .unwrap_or_else(|| vec![0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]);
     let mu_grid = opts.get_list::<usize>("mu")?.unwrap_or_else(|| vec![5]);
     let start = Instant::now();
-    let ex = EpsilonExplorer::new(&g, threads);
+    let idx = SimilarityIndex::build(&g, threads);
     println!(
         "precomputed {} edge similarities in {:?}\n",
-        ex.num_edges(),
+        idx.num_edges(),
         start.elapsed()
     );
     println!(
@@ -542,11 +541,10 @@ pub fn explore(opts: &Options) -> CmdResult {
         "eps", "mu", "clusters", "cores", "borders", "noise", "largest"
     );
     for &mu in &mu_grid {
-        for &eps in &eps_grid {
-            let p = ex.summarize(ScanParams::new(eps, mu));
+        for p in explore::sweep(&idx, &eps_grid, mu) {
             println!(
                 "{:>6} {:>4} {:>9} {:>9} {:>9} {:>9} {:>9}",
-                eps, mu, p.clusters, p.cores, p.borders, p.noise, p.largest_cluster
+                p.epsilon, p.mu, p.clusters, p.cores, p.borders, p.noise, p.largest_cluster
             );
         }
     }
@@ -558,7 +556,7 @@ pub fn hierarchy(opts: &Options) -> CmdResult {
     let mu: usize = opts.get_or("mu", 5)?;
     let threads: usize = opts.get_or("threads", 1)?;
     let start = Instant::now();
-    let h = EpsilonHierarchy::build(&g, mu, threads);
+    let h = EpsilonHierarchy::build(&SimilarityIndex::build(&g, threads), mu);
     println!(
         "hierarchy built in {:?}: {} merge events (mu = {})",
         start.elapsed(),

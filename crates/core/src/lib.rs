@@ -46,9 +46,6 @@ pub mod config;
 pub mod control;
 pub mod driver;
 pub mod error;
-pub mod explore;
-pub mod hierarchy;
-pub mod incremental;
 pub mod snapshot;
 pub mod state;
 pub mod supernode;

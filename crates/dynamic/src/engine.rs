@@ -293,7 +293,7 @@ impl DynamicIndex {
 mod tests {
     use super::*;
     use anyscan_graph::gen::{erdos_renyi, WeightModel};
-    use anyscan_graph::GraphBuilder;
+    use anyscan_graph::{GraphBuilder, ReorderMode};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -411,6 +411,16 @@ mod tests {
         assert!(matches!(
             DynamicIndex::from_parts(&g, approx, 1),
             Err(DynError::Incompatible(_))
+        ));
+
+        // Dynamic mode speaks original vertex ids: an index over a
+        // relabeled graph would take updates in the wrong ids.
+        let (rg, perm) = anyscan_graph::reorder::reorder(&g, ReorderMode::Degree);
+        assert!(!perm.is_identity(), "degree reorder should relabel");
+        let reordered = SimilarityIndex::build(&rg, 1).with_reorder(ReorderMode::Degree);
+        assert!(matches!(
+            DynamicIndex::from_parts(&rg, reordered, 1),
+            Err(DynError::Incompatible(msg)) if msg.contains("reordered")
         ));
     }
 }

@@ -25,9 +25,8 @@
 //!   mutation log; crash recovery is load + [`UpdateLog::replay`].
 //!
 //! The serve daemon builds its `ApplyUpdates` opcode on [`DynamicIndex`]
-//! (epoch-swapped behind its read path), the CLI's `mutate`/`replay`
-//! commands and the loadgen `update:` mix generate and drive traffic, and
-//! `bench_pr8` measures the repair-vs-rebuild crossover.
+//! (epoch-swapped behind its read path), and the CLI's `mutate`/`replay`
+//! commands and the loadgen `update:` mix generate and drive traffic.
 //!
 //! [`CsrGraph`]: anyscan_graph::CsrGraph
 //! [`SimilarityIndex::apply_patches`]: anyscan_index::SimilarityIndex::apply_patches

@@ -35,7 +35,6 @@
 //! assert_eq!(n, vec![0, 1, 2]);
 //! ```
 
-pub mod adj;
 pub mod builder;
 pub mod csr;
 pub mod gen;
@@ -47,7 +46,6 @@ pub mod transform;
 pub mod traversal;
 pub mod types;
 
-pub use adj::AdjGraph;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use reorder::{ReorderMode, VertexPermutation};

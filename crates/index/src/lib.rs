@@ -32,9 +32,13 @@
 //!
 //! The index serializes next to the CSR graph format (`io`, magic `"ASIX"`)
 //! and is wired through telemetry (`index_build` / `index_query` spans plus
-//! the `index_*` counters), the CLI (`anyscan index build|query`,
-//! `interactive --index`) and the `bench_pr3` harness.
+//! the `index_*` counters) and the CLI (`anyscan index build|query`,
+//! `interactive --index`, `explore`, `hierarchy`). Parameter exploration
+//! ([`explore`]) and the all-ε dendrogram ([`hierarchy`]) are read off the
+//! same two orders.
 
+pub mod explore;
+pub mod hierarchy;
 pub mod io;
 pub mod repair;
 

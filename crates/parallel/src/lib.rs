@@ -1002,28 +1002,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_job_panic_is_deterministic_and_typed() {
-        // The `pool::job` failpoint panics inside a worker's claim loop;
-        // `try_run` must hand it back as a typed error and leave the pool
-        // dispatchable.
-        let pool = WorkerPool::new();
-        anyscan_faults::configure("pool::job", anyscan_faults::FaultAction::Panic, 1);
-        let err = pool.try_run(4, 100, ChunkPolicy::Fixed(1), |_, _| {});
-        anyscan_faults::clear();
-        let err = err.expect_err("injected fault must fail the job");
-        assert!(
-            err.message().contains("injected fault: pool::job"),
-            "unexpected message: {}",
-            err.message()
-        );
-        let hits = AtomicUsize::new(0);
-        pool.run(4, 100, ChunkPolicy::Fixed(1), |_, range| {
-            hits.fetch_add(range.len(), Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
     fn panic_in_submitter_slot_propagates() {
         // Slot 0 is the calling thread; a panic there must also be captured
         // after the workers drain, then resumed.

@@ -11,7 +11,7 @@
 //!   accumulated in lock-free cache-padded shards so parallel workers never
 //!   contend on a line;
 //! * **spans** ([`Telemetry::span`]) — named wall-time intervals (per-step
-//!   timers, explorer/hierarchy builds), aggregated by name;
+//!   timers, index builds and queries), aggregated by name;
 //! * **anytime snapshots** ([`BlockSnapshot`]) — one record per block
 //!   iteration: the 7-state vertex histogram, super-node count and DSU
 //!   component count at that block boundary;

@@ -10,7 +10,7 @@ use crate::json::JsonValue;
 use crate::{Counter, NUM_VERTEX_STATES};
 
 /// Phases a `BlockSnapshot` may legally carry. Mirrors the driver's
-/// `Phase` enum plus the explore/hierarchy entry points.
+/// `Phase` enum plus the reserved explore/hierarchy names.
 pub const KNOWN_PHASES: &[&str] = &[
     "summarize",
     "merge_strong",
@@ -19,7 +19,6 @@ pub const KNOWN_PHASES: &[&str] = &[
     "resolve_roles",
     "explore",
     "hierarchy",
-    "incremental",
 ];
 
 /// Aggregate facts pulled out of a valid trace, for human display.

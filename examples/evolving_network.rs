@@ -1,14 +1,14 @@
-//! Clustering an evolving network: maintain SCAN clusters while edges churn
-//! (the DENGRAPH-style incremental extension), and use the ε-hierarchy to
-//! pick parameters up front.
+//! Clustering an evolving network: pick ε up front with the ε-hierarchy,
+//! then keep the similarity index exact while edges churn, answering
+//! SCAN queries between update batches.
 //!
-//! Run with: `cargo run --release -p anyscan --example evolving_network`
+//! Run with: `cargo run --release -p anyscan-dynamic --example evolving_network`
 
-use anyscan::hierarchy::EpsilonHierarchy;
-use anyscan::incremental::DynamicScan;
+use anyscan_dynamic::{DynamicIndex, EdgeOp, EdgeUpdate};
 use anyscan_graph::gen::{planted_partition, PlantedPartitionParams, WeightModel};
-use anyscan_graph::AdjGraph;
+use anyscan_index::hierarchy::EpsilonHierarchy;
 use anyscan_scan_common::ScanParams;
+use anyscan_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -31,62 +31,69 @@ fn main() {
         csr.num_vertices(),
         csr.num_edges()
     );
+    let mut dynamic = DynamicIndex::new(&csr, 1).expect("fresh index");
 
-    // 1. Pick ε with the hierarchy (one similarity pass, every ε answered).
-    let h = EpsilonHierarchy::build(&csr, 5, 1);
+    // 1. Pick ε with the hierarchy (read off the index, every ε answered).
+    let h = EpsilonHierarchy::build(dynamic.index(), 5);
     let grid: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
     let counts = h.cluster_counts(&grid);
     for (e, c) in grid.iter().zip(&counts) {
         println!("  eps {e:.1} -> {c} clusters");
     }
-    // Choose the widest stable non-trivial plateau.
+    // Choose the largest ε that still recovers the 8 planted communities.
     let eps = grid
         .iter()
         .zip(&counts)
-        .filter(|&(_, &c)| c == 8)
-        .map(|(&e, _)| e)
-        .next()
-        .unwrap_or(0.4);
+        .rfind(|&(_, &c)| c == 8)
+        .map_or(0.4, |(&e, _)| e);
     println!("chosen eps = {eps} (mu = 5)\n");
 
-    // 2. Go dynamic: churn 2000 random edge updates through the network.
+    // 2. Go dynamic: churn 2000 random edge updates through the network in
+    //    batches of 100, querying every 500 updates.
     let params = ScanParams::new(eps, 5);
-    let mut ds = DynamicScan::new(AdjGraph::from_csr(&csr), params);
-    println!("t=0: {} clusters", ds.clustering().num_clusters());
+    println!("t=0: {} clusters", dynamic.query(params).num_clusters());
 
     let n = csr.num_vertices() as u32;
     let start = Instant::now();
-    let before = ds.recomputations();
-    for step in 1..=2_000u32 {
-        let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
-        if u == v {
-            continue;
+    let mut reevals = 0u64;
+    let mut seq = 0u64;
+    for _ in 0..20 {
+        let mut batch = Vec::with_capacity(100);
+        while batch.len() < 100 {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u == v {
+                continue;
+            }
+            let op = if rng.gen_bool(0.55) {
+                EdgeOp::Insert(rng.gen_range(0.3..1.0))
+            } else {
+                EdgeOp::Remove
+            };
+            seq += 1;
+            batch.push(EdgeUpdate { seq, u, v, op });
         }
-        if rng.gen_bool(0.55) {
-            let w = rng.gen_range(0.3..1.0);
-            ds.insert_edge(u, v, w).expect("valid update");
-        } else {
-            ds.remove_edge(u, v);
-        }
-        if step % 500 == 0 {
-            let c = ds.clustering();
+        let stats = dynamic
+            .apply_batch(&batch, &Telemetry::disabled())
+            .expect("valid batch");
+        reevals += stats.sigma_reevals;
+        if seq.is_multiple_of(500) {
+            let c = dynamic.query(params);
             let rc = c.role_counts();
             println!(
-                "t={step}: {} clusters, {} cores, {} hubs (edges {})",
+                "t={seq}: {} clusters, {} cores, {} hubs (edges {})",
                 c.num_clusters(),
                 rc.cores,
                 rc.hubs,
-                ds.graph().num_edges()
+                dynamic.graph().num_edges()
             );
         }
     }
-    let updates_cost = ds.recomputations() - before;
     println!(
-        "\n2000 updates in {:?}: {} σ recomputations total (~{:.1} per update; a from-scratch \
+        "\n2000 updates in {:?}: {} σ re-evaluations total (~{:.1} per update; a from-scratch \
          rebuild would pay ~{} each)",
         start.elapsed(),
-        updates_cost,
-        updates_cost as f64 / 2_000.0,
-        ds.graph().num_edges()
+        reevals,
+        reevals as f64 / 2_000.0,
+        dynamic.graph().num_edges()
     );
 }
