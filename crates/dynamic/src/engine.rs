@@ -19,9 +19,13 @@
 //! 4. **Patch** — rebuild the neighbor order of every vertex whose order can
 //!    have changed (touched vertices and their current neighbors), reusing
 //!    stored σ for unaffected pairs, also in parallel.
-//! 5. **Repair** — splice the patches into the index in place
-//!    ([`SimilarityIndex::apply_patches`]); untouched slices are copied,
-//!    touched slices merge-repaired, never re-sorted.
+//! 5. **Repair** — build the next index copy-on-write
+//!    ([`SimilarityIndex::patched`]): untouched rows and slices are bulk
+//!    copies, touched slices merge-repaired, never re-sorted. The previous
+//!    index is never written, so a reader still holding its [`Arc`] (an
+//!    older daemon epoch) keeps a valid snapshot, and handing the new one
+//!    out ([`DynamicIndex::shared_index`]) costs a reference count, not a
+//!    copy.
 //!
 //! After any batch the index is bit-identical to a from-scratch
 //! [`SimilarityIndex::build`] on the mutated graph (property-tested in this
@@ -29,6 +33,7 @@
 //! the index had been rebuilt.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use anyscan_graph::{CsrGraph, VertexId};
 use anyscan_index::{NeighborOrderPatch, SimilarityIndex};
@@ -46,11 +51,11 @@ fn pair_key(a: VertexId, b: VertexId) -> (VertexId, VertexId) {
 }
 
 /// A similarity index kept consistent with a mutating graph through
-/// incremental σ re-evaluation and in-place repair.
+/// incremental σ re-evaluation and copy-on-write repair.
 #[derive(Debug)]
 pub struct DynamicIndex {
     graph: DynGraph,
-    index: SimilarityIndex,
+    index: Arc<SimilarityIndex>,
     threads: usize,
     applied_seq: u64,
 }
@@ -97,7 +102,7 @@ impl DynamicIndex {
         }
         Ok(DynamicIndex {
             graph: DynGraph::from_csr(g),
-            index,
+            index: Arc::new(index),
             threads,
             applied_seq: 0,
         })
@@ -110,6 +115,13 @@ impl DynamicIndex {
 
     /// The repaired similarity index.
     pub fn index(&self) -> &SimilarityIndex {
+        &self.index
+    }
+
+    /// The repaired similarity index as a shared snapshot. Later batches
+    /// replace the engine's index rather than write it, so the snapshot
+    /// stays valid (and unchanged) for as long as its holder keeps it.
+    pub fn shared_index(&self) -> &Arc<SimilarityIndex> {
         &self.index
     }
 
@@ -146,8 +158,9 @@ impl DynamicIndex {
     }
 
     /// Applies one batch of mutations: validates atomically, mutates the
-    /// graph, re-evaluates the affected σ on the worker pool and repairs the
-    /// index in place. See the module docs for the full pipeline.
+    /// graph, re-evaluates the affected σ on the worker pool and replaces the
+    /// index with its copy-on-write repair. See the module docs for the full
+    /// pipeline.
     pub fn apply_batch(
         &mut self,
         updates: &[EdgeUpdate],
@@ -281,10 +294,13 @@ impl DynamicIndex {
         };
         stats.orders_repaired = patches.len() as u64;
 
-        // 5. Splice into the index in place.
-        self.index
-            .apply_patches(&patches, self.graph.num_edges(), telemetry)
+        // 5. Repair copy-on-write; the old index stays intact for its
+        // other holders.
+        let repaired = self
+            .index
+            .patched(&patches, self.graph.num_edges(), telemetry)
             .map_err(DynError::Incompatible)?;
+        self.index = Arc::new(repaired);
         Ok(stats)
     }
 }

@@ -1,5 +1,5 @@
 //! Dynamic update subsystem: streamed edge mutations with incremental σ
-//! re-evaluation and in-place similarity-index repair.
+//! re-evaluation and copy-on-write similarity-index repair.
 //!
 //! The offline pipeline answers "cluster this graph"; this crate answers
 //! "keep answering while the graph changes". It follows the incremental
@@ -17,8 +17,8 @@
 //! * [`DynGraph`] ([`graph`]) — a mutable sorted-row mirror of [`CsrGraph`]
 //!   whose σ is bit-identical to the CSR kernels.
 //! * [`DynamicIndex`] ([`engine`]) — applies batches: mutate, re-evaluate
-//!   affected σ on the worker pool, repair the index in place via
-//!   [`SimilarityIndex::apply_patches`]. After every batch the index is
+//!   affected σ on the worker pool, repair the index copy-on-write via
+//!   [`SimilarityIndex::patched`]. After every batch the index is
 //!   bit-identical to a from-scratch build on the mutated graph, so any
 //!   `(ε, μ)` query answers correctly with no rebuild.
 //! * [`UpdateLog`] ([`log`]) — ASUL-framed, checksummed, atomically saved
@@ -29,7 +29,7 @@
 //! commands and the loadgen `update:` mix generate and drive traffic.
 //!
 //! [`CsrGraph`]: anyscan_graph::CsrGraph
-//! [`SimilarityIndex::apply_patches`]: anyscan_index::SimilarityIndex::apply_patches
+//! [`SimilarityIndex::patched`]: anyscan_index::SimilarityIndex::patched
 
 pub mod engine;
 pub mod graph;

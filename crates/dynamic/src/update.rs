@@ -111,7 +111,7 @@ pub struct BatchStats {
     /// σ re-evaluations the batch triggered (edges incident to a touched
     /// neighborhood).
     pub sigma_reevals: u64,
-    /// Neighbor orders repaired in place in the similarity index.
+    /// Neighbor orders repaired in the similarity index.
     pub orders_repaired: u64,
     /// Sequence number of the last update in the batch (the new watermark).
     pub last_seq: u64,

@@ -201,8 +201,8 @@ pub enum Request {
     Shutdown,
     /// Mutate the resident graph with one batch of edge updates (dynamic
     /// daemons only). Admission-controlled like `Run`; the daemon applies
-    /// the batch through its incremental engine, repairs the index in place
-    /// and epoch-swaps the snapshot its read path serves.
+    /// the batch through its incremental engine, repairs the index
+    /// copy-on-write and epoch-swaps the snapshot its read path serves.
     ApplyUpdates { updates: Vec<WireUpdate> },
     /// A replica's subscription handshake: "stream me every committed ASUL
     /// entry with `seq > watermark`". Answered by [`Response::Subscribed`],

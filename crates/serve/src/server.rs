@@ -21,15 +21,23 @@
 //!
 //! Dynamic daemons ([`Server::new_dynamic`]) additionally accept
 //! `ApplyUpdates` batches. Reads and writes coexist through an **epoch
-//! swap**: the read path clones an `Arc` snapshot (graph + index + epoch
-//! counter) under a briefly-held read lock, the single writer applies the
-//! batch through the incremental engine *outside* any lock queries touch,
-//! then installs the new snapshot (and clears the memoized-query cache)
-//! under the write lock. Queries in flight keep their old snapshot — they
-//! answer for the epoch they started in — and every query admitted after
-//! the swap sees the repaired index. The mutation log, when configured, is
-//! saved *before* the swap: an update is never visible to readers unless it
-//! is durable.
+//! swap**: the read path clones an `Arc` snapshot (index + epoch counter)
+//! under a briefly-held read lock, the single writer applies the batch
+//! through the incremental engine *outside* any lock queries touch, then
+//! installs the engine's copy-on-write repaired index — shared, not copied —
+//! as the new snapshot (and clears the memoized-query cache) under the write
+//! lock. Queries in flight keep their old snapshot — they answer for the
+//! epoch they started in — and every query admitted after the swap sees the
+//! repaired index. The mutation log, when configured, is saved *before* the
+//! swap: an update is never visible to readers unless it is durable.
+//!
+//! `Query` and `Membership` answer from the index alone
+//! ([`SimilarityIndex::query_offline_traced`]), on static and dynamic
+//! daemons alike. Only `Run` needs a [`CsrGraph`]: a static daemon and a
+//! dynamic daemon's first epoch carry it from construction; a later epoch
+//! builds it lazily, at most once, from the engine under the writer mutex
+//! — and only while the engine still holds exactly that epoch's index, so a
+//! run never sees state that is not durable.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -37,7 +45,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use anyscan::{AnyScan, AnyScanConfig, Completion, RunControl};
@@ -115,13 +123,14 @@ impl Stats {
     }
 }
 
-/// The immutable state one generation of readers shares: the graph, the
-/// index over it, and a monotonically increasing generation counter. Static
-/// daemons live in epoch 0 forever; dynamic daemons install a new epoch per
-/// applied batch.
+/// The immutable state one generation of readers shares: the index, the
+/// graph it indexes (only `Run` reads it, so later dynamic epochs build it on
+/// first use — see [`Server::run_epoch`]), and a monotonically increasing
+/// generation counter. Static daemons live in epoch 0 forever; dynamic
+/// daemons install a new epoch per applied batch.
 struct Epoch {
-    graph: CsrGraph,
-    index: SimilarityIndex,
+    index: Arc<SimilarityIndex>,
+    graph: OnceLock<CsrGraph>,
     epoch: u64,
 }
 
@@ -192,12 +201,24 @@ impl Server {
         config: ServerConfig,
         telemetry: Telemetry,
     ) -> Result<Server, String> {
+        Server::with_shared_index(graph, perm, Arc::new(index), config, telemetry)
+    }
+
+    /// [`Server::new`] over an index that may be shared (a dynamic engine's
+    /// snapshot): epoch 0 carries `graph`, so `Run` never has to build it.
+    fn with_shared_index(
+        graph: CsrGraph,
+        perm: VertexPermutation,
+        index: Arc<SimilarityIndex>,
+        config: ServerConfig,
+        telemetry: Telemetry,
+    ) -> Result<Server, String> {
         index.check_graph(&graph)?;
         Ok(Server {
             admission: AdmissionQueue::new(config.max_inflight, config.queue_depth),
             epoch: RwLock::new(Arc::new(Epoch {
-                graph,
                 index,
+                graph: OnceLock::from(graph),
                 epoch: 0,
             })),
             perm,
@@ -221,9 +242,10 @@ impl Server {
     /// Builds a *dynamic* daemon around an incremental engine (and an
     /// optional durable mutation log saved to `log`'s path after every
     /// accepted batch). The engine may already carry replayed updates — the
-    /// first epoch snapshots its current state. Dynamic mode runs in
-    /// original vertex ids (the engine rejects reordered indexes), so the
-    /// permutation is the identity.
+    /// first epoch snapshots its current state, sharing the engine's index
+    /// and keeping the CSR built here for the shipping log's fingerprint.
+    /// Dynamic mode runs in original vertex ids (the engine rejects
+    /// reordered indexes), so the permutation is the identity.
     pub fn new_dynamic(
         engine: DynamicIndex,
         log: Option<(UpdateLog, PathBuf)>,
@@ -250,9 +272,9 @@ impl Server {
         };
         let term = log.term();
         let watermark = engine.applied_seq();
-        let index = engine.index().clone();
+        let index = Arc::clone(engine.shared_index());
         let perm = VertexPermutation::identity(graph.num_vertices());
-        let mut server = Server::new(graph, perm, index, config, telemetry)?;
+        let mut server = Server::with_shared_index(graph, perm, index, config, telemetry)?;
         server.term.store(term, Ordering::Relaxed);
         *server.durability.seq.get_mut().unwrap() = watermark;
         server.dynamic = Some(Mutex::new(DynamicState {
@@ -314,18 +336,57 @@ impl Server {
 
     /// Number of vertices served (original = reordered count).
     pub fn num_vertices(&self) -> usize {
-        self.epoch.read().unwrap().graph.num_vertices()
+        self.epoch.read().unwrap().index.num_vertices()
     }
 
     /// Number of undirected edges served (of the current epoch).
     pub fn num_edges(&self) -> u64 {
-        self.epoch.read().unwrap().graph.num_edges()
+        self.epoch.read().unwrap().index.num_edges()
     }
 
     /// The snapshot the read path uses: cloned out of the lock so queries
     /// never hold it while working.
     fn snapshot(&self) -> Arc<Epoch> {
         Arc::clone(&self.epoch.read().unwrap())
+    }
+
+    /// The snapshot a `Run` executes on, with its graph built. Epochs that
+    /// carry no graph yet (every dynamic epoch after the first) get it from
+    /// the engine's mirror, at most once per epoch: the build holds the
+    /// writer mutex, so no commit moves the engine meanwhile, and it only
+    /// proceeds while the engine's index *is* the served one. An engine
+    /// ahead of the served epoch holds a batch whose log save failed; that
+    /// state is not durable, so the run is refused rather than served from
+    /// it.
+    fn run_epoch(&self) -> Result<Arc<Epoch>, String> {
+        let ep = self.snapshot();
+        if ep.graph.get().is_some() {
+            return Ok(ep);
+        }
+        let dynamic = self
+            .dynamic
+            .as_ref()
+            .expect("static epochs carry their graph");
+        let state = dynamic.lock().unwrap();
+        // Re-read under the writer mutex: a commit may have swapped epochs
+        // (or another run built this one's graph) while we waited.
+        let ep = self.snapshot();
+        if ep.graph.get().is_some() {
+            return Ok(ep);
+        }
+        if !Arc::ptr_eq(state.engine.shared_index(), &ep.index) {
+            return Err(format!(
+                "engine state is ahead of the durable epoch {} (a log save failed); \
+                 runs resume after the next committed batch",
+                ep.epoch
+            ));
+        }
+        let graph = state
+            .engine
+            .to_csr()
+            .map_err(|e| format!("epoch snapshot failed: {e}"))?;
+        let _ = ep.graph.set(graph);
+        Ok(ep)
     }
 
     /// True once a `Shutdown` request (or the stop token) began draining.
@@ -625,10 +686,10 @@ impl Server {
                     Err(resp) => return resp,
                 };
                 let ep = self.snapshot();
-                if vertex as usize >= ep.graph.num_vertices() {
+                if vertex as usize >= ep.index.num_vertices() {
                     return bad_request(format!(
                         "vertex {vertex} out of range (|V| = {})",
-                        ep.graph.num_vertices()
+                        ep.index.num_vertices()
                     ));
                 }
                 let _span = self.telemetry.span("serve_lookup");
@@ -651,12 +712,21 @@ impl Server {
                     Ok(params) => params,
                     Err(resp) => return resp,
                 };
-                let ep = self.snapshot();
                 let _span = self.telemetry.span("serve_run");
                 self.stats.runs.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.add(Counter::ServeRuns, 1);
+                let ep = match self.run_epoch() {
+                    Ok(ep) => ep,
+                    Err(message) => {
+                        return Response::Error {
+                            code: ErrorCode::Internal,
+                            message,
+                        }
+                    }
+                };
+                let graph = ep.graph.get().expect("run_epoch returns a built graph");
                 let config = AnyScanConfig::new(params)
-                    .with_auto_block_size(ep.graph.num_vertices())
+                    .with_auto_block_size(graph.num_vertices())
                     .with_threads(self.config.threads);
                 let mut ctl = RunControl::new();
                 if deadline_ms > 0 {
@@ -674,8 +744,7 @@ impl Server {
                 } else {
                     Telemetry::disabled()
                 };
-                let mut algo =
-                    AnyScan::new(&ep.graph, config).with_telemetry(run_telemetry.clone());
+                let mut algo = AnyScan::new(graph, config).with_telemetry(run_telemetry.clone());
                 let outcome = algo.run_controlled(&ctl);
                 if let Some(report) = run_telemetry.report() {
                     for &c in Counter::ALL.iter() {
@@ -900,11 +969,7 @@ impl Server {
                 .map_err(|e| CommitError::Internal(format!("update log write failed: {e}")))?;
         }
 
-        let snapshot = state
-            .engine
-            .to_csr()
-            .map_err(|e| CommitError::Internal(format!("epoch snapshot failed: {e}")))?;
-        let index = state.engine.index().clone();
+        let index = Arc::clone(state.engine.shared_index());
 
         // Publish durability: subscription threads may ship the batch from
         // this point on.
@@ -916,17 +981,21 @@ impl Server {
 
         // The swap: writer excludes readers only for the Arc replacement
         // and cache clear, never for the repair work above.
-        let new_epoch;
-        {
+        let (new_epoch, retired, evicted) = {
             let mut ep = self.epoch.write().unwrap();
-            new_epoch = ep.epoch + 1;
-            *ep = Arc::new(Epoch {
-                graph: snapshot,
+            let new_epoch = ep.epoch + 1;
+            let next = Arc::new(Epoch {
                 index,
+                graph: OnceLock::new(),
                 epoch: new_epoch,
             });
-            self.cache.lock().unwrap().clear();
-        }
+            let retired = std::mem::replace(&mut *ep, next);
+            let evicted = std::mem::take(&mut *self.cache.lock().unwrap());
+            (new_epoch, retired, evicted)
+        };
+        // The retired epoch is usually the last holder of the previous
+        // index: free it (and the evicted answers) outside the lock.
+        drop((retired, evicted));
         Ok((stats, new_epoch))
     }
 
@@ -946,8 +1015,7 @@ impl Server {
                 return c;
             }
         }
-        let c =
-            Arc::new(self.to_original(ep.index.query_traced(&ep.graph, params, &self.telemetry)));
+        let c = Arc::new(self.to_original(ep.index.query_offline_traced(params, &self.telemetry)));
         if self.config.cache_entries > 0 {
             let mut cache = self.cache.lock().unwrap();
             if !cache.iter().any(|(k, _)| *k == key) {

@@ -367,3 +367,93 @@ fn static_daemon_rejects_apply_updates() {
         other => panic!("unexpected response {other:?}"),
     }
 }
+
+/// The summary a `Run` response carries, computed locally.
+fn summary_of(c: &anyscan_scan_common::Clustering) -> anyscan_serve::QuerySummary {
+    let rc = c.role_counts();
+    anyscan_serve::QuerySummary {
+        clusters: c.num_clusters() as u32,
+        cores: rc.cores as u32,
+        borders: rc.borders as u32,
+        hubs: rc.hubs as u32,
+        outliers: rc.outliers as u32,
+    }
+}
+
+#[test]
+fn run_after_writes_clusters_the_mutated_graph() {
+    // Dynamic epochs after the first build their graph on the first `Run`;
+    // it must be the mutated graph, built once and reused within the epoch.
+    let daemon = Daemon::start_dynamic(None);
+    let mut conn = daemon.connect();
+    for batch in batches() {
+        match call(&mut conn, &Request::ApplyUpdates { updates: batch }) {
+            Response::ApplyUpdates { .. } => {}
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    assert_eq!(daemon.server.current_epoch(), 3);
+
+    let mirror = mirror_engine(&batches()).to_csr().unwrap();
+    let params = ScanParams::new(EPS, MU as usize);
+    // The daemon's run configuration (one worker thread by default).
+    let config = anyscan::AnyScanConfig::new(params)
+        .with_auto_block_size(mirror.num_vertices())
+        .with_threads(ServerConfig::default().threads);
+    let expected = summary_of(&anyscan::AnyScan::new(&mirror, config).run());
+
+    let run = Request::Run {
+        eps: EPS,
+        mu: MU,
+        deadline_ms: 0,
+        max_blocks: 0,
+    };
+    let first = match call(&mut conn, &run) {
+        Response::Run {
+            summary,
+            completion,
+            ..
+        } => {
+            assert_eq!(
+                completion,
+                anyscan_serve::completion_code(anyscan::Completion::Complete)
+            );
+            assert_eq!(summary, expected, "run must cluster the mutated graph");
+            summary
+        }
+        other => panic!("unexpected response {other:?}"),
+    };
+    match call(&mut conn, &run) {
+        Response::Run { summary, .. } => assert_eq!(summary, first, "same epoch, same answer"),
+        other => panic!("unexpected response {other:?}"),
+    }
+    assert_eq!(
+        daemon.server.current_epoch(),
+        3,
+        "runs never move the epoch"
+    );
+
+    let fresh = SimilarityIndex::build(&mirror, 1).query(&mirror, params);
+    match call(
+        &mut conn,
+        &Request::Query {
+            eps: EPS,
+            mu: MU,
+            want_labels: true,
+        },
+    ) {
+        Response::Query {
+            labels: Some(block),
+            ..
+        } => {
+            assert_eq!(block.labels, fresh.labels);
+            let roles: Vec<u8> = fresh
+                .roles
+                .iter()
+                .map(|&r| anyscan_serve::role_code(r))
+                .collect();
+            assert_eq!(block.roles, roles);
+        }
+        other => panic!("unexpected response {other:?}"),
+    }
+}
