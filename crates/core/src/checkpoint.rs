@@ -752,7 +752,7 @@ fn get_csr(
     id_bound: u32,
     what: &str,
 ) -> Result<Vec<Vec<u32>>, AnyScanError> {
-    let offsets = framing::get_usize_array(buf, count + 1)?;
+    let offsets = framing::get_offsets(buf, count)?;
     let total = *offsets.last().expect("count + 1 >= 1 offsets");
     framing::need(buf, total.saturating_mul(4))?;
     framing::check_offsets(&offsets, total, what)?;

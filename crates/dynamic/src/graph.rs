@@ -3,9 +3,9 @@
 //! [`DynGraph`] keeps each vertex's *closed* neighborhood as an
 //! ascending-id-sorted row — exactly the slice layout [`CsrGraph`] exposes —
 //! plus the per-vertex squared norms, recomputed after each mutation by the
-//! same ascending-id summation `CsrGraph::from_parts` uses. Because sorted
-//! rows and norms coincide bitwise with the CSR snapshot of the same graph,
-//! [`DynGraph::sigma`] (the textbook merge-join) reproduces
+//! same ascending-id summation every `CsrGraph` constructor uses. Because
+//! sorted rows and norms coincide bitwise with the CSR snapshot of the same
+//! graph, [`DynGraph::sigma`] (the textbook merge-join) reproduces
 //! `anyscan_scan_common::kernel::sigma_raw` bit for bit, and every kernel the
 //! index build uses is documented (and property-tested) bit-identical to
 //! `sigma_raw`. That chain is what lets the incremental repair produce an
@@ -108,7 +108,7 @@ impl DynGraph {
     }
 
     /// Recomputes `v`'s squared norm by the same ascending-id summation
-    /// `CsrGraph::from_parts` performs, so the value is bit-identical to
+    /// `CsrGraph` constructors perform, so the value is bit-identical to
     /// what a CSR snapshot of this graph would report.
     pub fn refresh_norm(&mut self, v: VertexId) {
         let mut l = 0.0f64;

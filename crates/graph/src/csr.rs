@@ -39,9 +39,10 @@ impl CsrGraph {
     /// SCAN's unweighted cosine similarity over closed neighborhoods.
     pub const SELF_LOOP_WEIGHT: Weight = 1.0;
 
-    /// Assembles a graph from raw CSR arrays. Callers must guarantee the CSR
-    /// invariants (sorted, deduplicated, symmetric, self-loops present);
-    /// [`crate::GraphBuilder`] is the supported way to construct graphs.
+    /// Assembles a graph from raw CSR arrays without validating them. Only
+    /// [`crate::GraphBuilder`], which establishes the CSR invariants itself,
+    /// may call it; every other source goes through
+    /// [`CsrGraph::from_sorted_rows`].
     pub(crate) fn from_parts(
         offsets: Vec<EdgeId>,
         neighbors: Vec<VertexId>,
@@ -50,20 +51,10 @@ impl CsrGraph {
     ) -> Self {
         debug_assert_eq!(neighbors.len(), weights.len());
         debug_assert_eq!(*offsets.last().unwrap_or(&0), neighbors.len());
-        let n = offsets.len().saturating_sub(1);
-        let mut norm_sq = Vec::with_capacity(n);
-        let mut max_weight = Vec::with_capacity(n);
-        for v in 0..n {
-            let (mut l, mut m) = (0.0, 0.0);
-            for &w in &weights[offsets[v]..offsets[v + 1]] {
-                l += w * w;
-                if w > m {
-                    m = w;
-                }
-            }
-            norm_sq.push(l);
-            max_weight.push(m);
-        }
+        let (norm_sq, max_weight) = offsets
+            .windows(2)
+            .map(|r| lemma5_row(&weights[r[0]..r[1]]))
+            .unzip();
         CsrGraph {
             offsets,
             neighbors,
@@ -204,8 +195,9 @@ impl CsrGraph {
     /// Assembles a graph from adjacency rows that already satisfy the CSR
     /// invariants (strictly sorted per vertex, symmetric, self-loops present,
     /// positive finite weights) — the shape a dynamic-update engine maintains
-    /// natively, letting it publish a CSR snapshot without re-sorting.
-    /// Invariants are re-validated; a violation is a typed `Err`, never a
+    /// natively, letting it publish a CSR snapshot without re-sorting, and
+    /// the shape the binary loader decodes. Invariants are re-validated in
+    /// one linear pass; a violation is a typed `Err`, never a panic or a
     /// silently corrupt graph.
     pub fn from_sorted_rows(
         offsets: Vec<EdgeId>,
@@ -213,66 +205,124 @@ impl CsrGraph {
         weights: Vec<Weight>,
         num_edges: u64,
     ) -> Result<CsrGraph, String> {
-        if offsets.is_empty() {
-            return Err("offsets must contain at least the trailing bound".into());
-        }
-        if neighbors.len() != weights.len() || *offsets.last().unwrap() != neighbors.len() {
-            return Err("arc arrays disagree with offsets".into());
-        }
-        let g = CsrGraph::from_parts(offsets, neighbors, weights, num_edges);
-        g.check_invariants()?;
-        Ok(g)
+        let (norm_sq, max_weight) = validate_rows(&offsets, &neighbors, &weights, num_edges)?;
+        Ok(CsrGraph {
+            offsets,
+            neighbors,
+            weights,
+            norm_sq,
+            max_weight,
+            num_edges,
+        })
     }
 
-    /// Validates every CSR invariant; used by tests and the binary loader.
+    /// Validates every CSR invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let n = self.num_vertices();
-        if self.offsets[0] != 0 {
-            return Err("offsets must start at 0".into());
-        }
-        for v in 0..n {
-            if self.offsets[v] > self.offsets[v + 1] {
-                return Err(format!("offsets not monotone at {v}"));
-            }
-            let ids = self.neighbor_ids(v as VertexId);
-            if ids.binary_search(&(v as VertexId)).is_err() {
-                return Err(format!("vertex {v} lacks its self-loop"));
-            }
-            for w in ids.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(format!("adjacency of {v} not strictly sorted"));
-                }
-            }
-            for (u, w) in self.neighbors(v as VertexId) {
-                if u as usize >= n {
-                    return Err(format!("neighbor {u} of {v} out of range"));
-                }
-                if w <= 0.0 || !w.is_finite() {
-                    return Err(format!("weight of ({v},{u}) invalid: {w}"));
-                }
-                if u as usize != v {
-                    match self.edge_weight(u, v as VertexId) {
-                        Some(back) if back == w => {}
-                        Some(_) => return Err(format!("asymmetric weight on ({v},{u})")),
-                        None => return Err(format!("missing reverse arc ({u},{v})")),
-                    }
-                }
-            }
-        }
-        let arcs_excl_self = self.num_arcs() - n;
-        if arcs_excl_self as u64 != 2 * self.num_edges {
-            return Err(format!(
-                "edge count mismatch: {} arcs (excl. self) vs num_edges={}",
-                arcs_excl_self, self.num_edges
-            ));
-        }
-        Ok(())
+        validate_rows(
+            &self.offsets,
+            &self.neighbors,
+            &self.weights,
+            self.num_edges,
+        )
+        .map(|_| ())
     }
+}
+
+/// Lemma-5 quantities of one row: `(Σ w², max w)`, summed in row order so
+/// every constructor produces bit-identical norms.
+fn lemma5_row(weights: &[Weight]) -> (Weight, Weight) {
+    let (mut l, mut m) = (0.0, 0.0);
+    for &w in weights {
+        l += w * w;
+        if w > m {
+            m = w;
+        }
+    }
+    (l, m)
+}
+
+/// The one CSR validator: checks every invariant in a single linear pass
+/// over raw, untrusted arrays and returns the per-vertex Lemma-5 arrays
+/// `(norm_sq, max_weight)`. Never panics and never indexes before the
+/// offsets are known to be in bounds.
+///
+/// Symmetry is a transpose check. Rows are walked in ascending order with a
+/// cursor per row, starting at the row's first arc. Each arc `(v, u)` with
+/// `u > v` must find its reverse `(u, v)`, with a bit-equal weight, at
+/// `cursor[u]`, which then advances. Because rows are visited in ascending
+/// order, the reverse arcs consumed from row `u` are exactly its arcs to
+/// smaller ids, in order, so when row `v` is reached its cursor must sit on
+/// its self-loop: anything else is a missing or unmatched arc.
+fn validate_rows(
+    offsets: &[EdgeId],
+    neighbors: &[VertexId],
+    weights: &[Weight],
+    num_edges: u64,
+) -> Result<(Vec<Weight>, Vec<Weight>), String> {
+    let Some((&last, rows)) = offsets.split_last() else {
+        return Err("offsets must contain at least the trailing bound".into());
+    };
+    if neighbors.len() != weights.len() || last != neighbors.len() {
+        return Err("arc arrays disagree with offsets".into());
+    }
+    if offsets[0] != 0 {
+        return Err("offsets must start at 0".into());
+    }
+    if let Some(v) = offsets.windows(2).position(|r| r[0] > r[1]) {
+        return Err(format!("offsets not monotone at {v}"));
+    }
+    let n = rows.len();
+    let mut cursor = rows.to_vec();
+    let mut norm_sq = Vec::with_capacity(n);
+    let mut max_weight = Vec::with_capacity(n);
+    for v in 0..n {
+        let (start, end) = (offsets[v], offsets[v + 1]);
+        if cursor[v] == end || neighbors[cursor[v]] as usize != v {
+            return Err(format!("vertex {v} lacks its self-loop or a reverse arc"));
+        }
+        let ids = &neighbors[start..end];
+        let ws = &weights[start..end];
+        for (i, (&u, &w)) in ids.iter().zip(ws).enumerate() {
+            let ui = u as usize;
+            if ui >= n {
+                return Err(format!("neighbor {u} of {v} out of range"));
+            }
+            if w <= 0.0 || !w.is_finite() {
+                return Err(format!("weight of ({v},{u}) invalid: {w}"));
+            }
+            if i > 0 && ids[i - 1] >= u {
+                return Err(format!("adjacency of {v} not strictly sorted"));
+            }
+            if ui > v {
+                let back = cursor[ui];
+                if back == offsets[ui + 1] || neighbors[back] as usize != v {
+                    return Err(format!("missing reverse arc ({u},{v})"));
+                }
+                if weights[back].to_bits() != w.to_bits() {
+                    return Err(format!("asymmetric weight on ({v},{u})"));
+                }
+                cursor[ui] += 1;
+            }
+        }
+        let (l, m) = lemma5_row(ws);
+        norm_sq.push(l);
+        max_weight.push(m);
+    }
+    let arcs_excl_self = (neighbors.len() - n) as u64;
+    if num_edges.checked_mul(2) != Some(arcs_excl_self) {
+        return Err(format!(
+            "edge count mismatch: {arcs_excl_self} arcs (excl. self) vs num_edges={num_edges}"
+        ));
+    }
+    Ok((norm_sq, max_weight))
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{validate_rows, CsrGraph};
+    use crate::types::{EdgeId, VertexId, Weight};
     use crate::GraphBuilder;
+    use proptest::prelude::*;
 
     fn triangle() -> super::CsrGraph {
         let mut b = GraphBuilder::new(3);
@@ -357,6 +407,131 @@ mod tests {
         assert!(super::CsrGraph::from_sorted_rows(vec![0, 1], vec![1], vec![1.0], 0).is_err());
         // Arc arrays disagreeing with offsets are rejected.
         assert!(super::CsrGraph::from_sorted_rows(vec![0, 2], vec![0], vec![1.0], 0).is_err());
+        // Non-monotone offsets are rejected before anything is sliced.
+        assert!(
+            super::CsrGraph::from_sorted_rows(vec![0, 3, 2], vec![0, 1], vec![1.0, 1.0], 0)
+                .is_err()
+        );
+    }
+
+    /// The binary-search validator the linear pass replaced, kept as the
+    /// reference it must agree with: offsets first, then per row the
+    /// self-loop, strict sorting, id range, weights and one `edge_weight`
+    /// lookup per arc for symmetry, then the edge count.
+    fn reference_check(
+        offsets: &[EdgeId],
+        neighbors: &[VertexId],
+        weights: &[Weight],
+        num_edges: u64,
+    ) -> Result<(), String> {
+        if offsets.first() != Some(&0) || offsets.last() != Some(&neighbors.len()) {
+            return Err("bad offsets".into());
+        }
+        if neighbors.len() != weights.len() || offsets.windows(2).any(|r| r[0] > r[1]) {
+            return Err("bad offsets".into());
+        }
+        let g = CsrGraph::from_parts(offsets.to_vec(), neighbors.to_vec(), weights.to_vec(), 0);
+        let n = g.num_vertices();
+        for v in 0..n {
+            let ids = g.neighbor_ids(v as VertexId);
+            if ids.binary_search(&(v as VertexId)).is_err() {
+                return Err(format!("vertex {v} lacks its self-loop"));
+            }
+            if ids.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("adjacency of {v} not strictly sorted"));
+            }
+            for (u, w) in g.neighbors(v as VertexId) {
+                if u as usize >= n {
+                    return Err(format!("neighbor {u} of {v} out of range"));
+                }
+                if w <= 0.0 || !w.is_finite() {
+                    return Err(format!("weight of ({v},{u}) invalid: {w}"));
+                }
+                if u as usize != v && g.edge_weight(u, v as VertexId) != Some(w) {
+                    return Err(format!("missing or asymmetric reverse arc ({u},{v})"));
+                }
+            }
+        }
+        if Some((g.num_arcs() - n) as u64) != num_edges.checked_mul(2) {
+            return Err("edge count mismatch".into());
+        }
+        Ok(())
+    }
+
+    /// One corruption of a valid graph's raw arrays.
+    #[derive(Debug, Clone)]
+    enum Mutation {
+        /// Replace a neighbor id; may land out of range.
+        Neighbor { arc: usize, id: VertexId },
+        /// Replace a weight (0, −1, NaN or another value).
+        Weight { arc: usize, w: Weight },
+        /// Swap two arcs (id and weight together).
+        Swap { a: usize, b: usize },
+        /// Move the edge count by one either way.
+        EdgeCount { up: bool },
+    }
+
+    fn mutation() -> impl Strategy<Value = Mutation> {
+        let special = [0.0, -1.0, f64::NAN, f64::INFINITY];
+        (
+            0u8..4,
+            0usize..1024,
+            0usize..1024,
+            0u32..16,
+            0usize..6,
+            0.25f64..4.0,
+        )
+            .prop_map(move |(kind, a, b, id, pick, w)| match kind {
+                0 => Mutation::Neighbor { arc: a, id },
+                1 => Mutation::Weight {
+                    arc: a,
+                    w: special.get(pick).copied().unwrap_or(w),
+                },
+                2 => Mutation::Swap { a, b },
+                _ => Mutation::EdgeCount { up: a % 2 == 0 },
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn linear_validator_agrees_with_binary_search_reference(
+            n in 1usize..10,
+            edges in proptest::collection::vec((0u32..10, 0u32..10, 0u8..2, 0.5f64..2.0), 0..24),
+            mutations in proptest::collection::vec(mutation(), 0..3),
+        ) {
+            let edges = edges
+                .into_iter()
+                .filter(|&(u, v, _, _)| (u as usize) < n && (v as usize) < n && u != v);
+            let mut b = GraphBuilder::new(n);
+            for (u, v, unit, w) in edges {
+                b.add_edge(u, v, if unit == 0 { 1.0 } else { w });
+            }
+            let g = b.build();
+            let (offsets, nbrs, ws, m) = g.raw_parts();
+            let (offsets, mut nbrs, mut ws, mut m) = (offsets.to_vec(), nbrs.to_vec(), ws.to_vec(), m);
+            let arcs = nbrs.len();
+            for mutation in mutations {
+                match mutation {
+                    Mutation::Neighbor { arc, id } => nbrs[arc % arcs] = id,
+                    Mutation::Weight { arc, w } => ws[arc % arcs] = w,
+                    Mutation::Swap { a, b } => {
+                        nbrs.swap(a % arcs, b % arcs);
+                        ws.swap(a % arcs, b % arcs);
+                    }
+                    Mutation::EdgeCount { up } => m = if up { m.wrapping_add(1) } else { m.wrapping_sub(1) },
+                }
+            }
+            let reference = reference_check(&offsets, &nbrs, &ws, m);
+            let linear = validate_rows(&offsets, &nbrs, &ws, m);
+            prop_assert_eq!(linear.is_ok(), reference.is_ok(), "linear {:?} vs reference {:?}", linear, reference);
+            if linear.is_ok() {
+                // Accepted arrays load bit-identically to the builder's path.
+                let loaded = CsrGraph::from_sorted_rows(offsets.clone(), nbrs.clone(), ws.clone(), m).unwrap();
+                prop_assert_eq!(loaded, CsrGraph::from_parts(offsets, nbrs, ws, m));
+            }
+        }
     }
 
     #[test]

@@ -16,10 +16,20 @@
 //!
 //! Generated benchmark graphs are cached in this format so repeated
 //! experiment runs skip regeneration.
+//!
+//! Loading costs one linear pass plus the checksum. The arrays are decoded
+//! in bulk from the borrowed file buffer, and
+//! [`CsrGraph::from_sorted_rows`] checks every CSR invariant (offsets,
+//! sorting, id range, weights, symmetry, edge count) in one pass that also
+//! yields the Lemma-5 norms. For a v2 file the FNV-1a checksum runs on a
+//! scoped thread beside that parse, over the same bytes; a checksum
+//! mismatch takes precedence over any structural error, so a corrupt file
+//! always reports itself as corrupt. Every length read from the header is
+//! overflow-checked, so an unverified header cannot panic the parse.
 
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 
 use super::framing;
 use crate::csr::CsrGraph;
@@ -54,35 +64,40 @@ pub fn write_binary<W: Write>(g: &CsrGraph, mut writer: W) -> Result<(), GraphEr
 
 /// Deserializes a graph written by [`write_binary`], re-validating all CSR
 /// invariants (the file may come from an untrusted build cache). v2 files
-/// are checksum-verified; v1 files (no trailer) still load with a warning.
+/// are checksum-verified beside the parse; v1 files (no trailer) still load
+/// with a warning.
 pub fn read_binary<R: Read>(mut reader: R) -> Result<CsrGraph, GraphError> {
     anyscan_faults::inject_io("graph::read_binary")?;
     let mut raw = Vec::new();
     reader.read_to_end(&mut raw)?;
-    let mut buf = match framing::peek_version(&raw, MAGIC)? {
-        1 => {
-            eprintln!("warning: ASCN v1 file has no checksum trailer; rewrite it to upgrade");
-            Bytes::from(raw)
-        }
-        _ => framing::strip_checksum_trailer(raw)?,
-    };
+    if framing::peek_version(&raw, MAGIC)? == 1 {
+        eprintln!("warning: ASCN v1 file has no checksum trailer; rewrite it to upgrade");
+        return parse(&raw);
+    }
+    let (payload, expect) = framing::split_checksum_trailer(&raw)?;
+    let (checked, parsed) = std::thread::scope(|s| {
+        let checksum = s.spawn(|| framing::verify_checksum(payload, expect));
+        let parsed = parse(payload);
+        (checksum.join().expect("checksum thread panicked"), parsed)
+    });
+    checked?;
+    parsed
+}
 
+/// Decodes and validates a payload (header included, trailer excluded).
+/// Must not panic on any input: for v2 files it runs before the checksum
+/// verdict is known.
+fn parse(mut buf: &[u8]) -> Result<CsrGraph, GraphError> {
     framing::get_header_versioned(&mut buf, MAGIC, MIN_VERSION..=VERSION)?;
     framing::need(&buf, 24)?;
     let n = buf.get_u64_le() as usize;
     let arcs = buf.get_u64_le() as usize;
     let num_edges = buf.get_u64_le();
 
-    let offsets = framing::get_usize_array(&mut buf, n + 1)?;
+    let offsets = framing::get_offsets(&mut buf, n)?;
     let neighbors = framing::get_u32_array(&mut buf, arcs)?;
     let weights = framing::get_f64_array(&mut buf, arcs)?;
-    // Bounds-check offsets *before* constructing the graph: `from_parts`
-    // slices the weight array by them to precompute the Lemma-5 norms, so a
-    // corrupted offset would otherwise panic instead of erroring.
-    framing::check_offsets(&offsets, arcs, "csr")?;
-    let g = CsrGraph::from_parts(offsets, neighbors, weights, num_edges);
-    g.check_invariants().map_err(GraphError::Format)?;
-    Ok(g)
+    CsrGraph::from_sorted_rows(offsets, neighbors, weights, num_edges).map_err(GraphError::Format)
 }
 
 #[cfg(test)]
@@ -129,6 +144,39 @@ mod tests {
             assert!(
                 matches!(err, GraphError::Format(_)),
                 "cut at {cut} not detected"
+            );
+        }
+    }
+
+    #[test]
+    fn checksum_mismatch_takes_precedence_over_structural_errors() {
+        let g = sample();
+        let mut buf = Vec::new();
+        write_binary(&g, &mut buf).unwrap();
+        // First byte of the neighbor block: header, then (n + 1) offsets.
+        let idx = 4 + 4 + 24 + (g.num_vertices() + 1) * 8;
+        buf[idx] ^= 0xFF;
+        let err = read_binary(buf.as_slice()).unwrap_err().to_string();
+        assert!(
+            err.contains("checksum mismatch") && err.contains("(torn write or corruption)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn rejects_v1_headers_whose_lengths_overflow() {
+        // v1 files have no checksum, so the header's lengths reach the
+        // decoder unverified: (n + 1) × 8 and n + 1 must not overflow.
+        for n in [(1u64 << 61) + 3, u64::MAX] {
+            let mut buf = b"ASCN".to_vec();
+            buf.extend_from_slice(&1u32.to_le_bytes());
+            for field in [n, 0, 0] {
+                buf.extend_from_slice(&field.to_le_bytes());
+            }
+            buf.extend_from_slice(&[0u8; 64]);
+            assert!(
+                matches!(read_binary(buf.as_slice()), Err(GraphError::Format(_))),
+                "n = {n} accepted"
             );
         }
     }

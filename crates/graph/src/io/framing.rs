@@ -4,14 +4,16 @@
 //! similarity-index format (`"ASIX"`, in `anyscan-index`) are a 4-byte
 //! magic, a little-endian `u32` version, and typed little-endian arrays.
 //! This module holds the header and array plumbing so every format
-//! validates truncation and versioning identically.
+//! validates truncation, length arithmetic and versioning identically.
+//! Readers are generic over [`Buf`]: an owned [`Bytes`] or a borrowed
+//! `&[u8]`, both contiguous, so arrays decode in bulk from [`Buf::chunk`].
 
 pub use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::types::GraphError;
 
 /// Errors unless at least `n` bytes remain in `buf`.
-pub fn need(buf: &Bytes, n: usize) -> Result<(), GraphError> {
+pub fn need<B: Buf>(buf: &B, n: usize) -> Result<(), GraphError> {
     if buf.remaining() < n {
         Err(GraphError::Format("truncated file".into()))
     } else {
@@ -27,7 +29,11 @@ pub fn put_header(buf: &mut BytesMut, magic: &[u8; 4], version: u32) {
 
 /// Reads and checks the `magic` + version header; errors on a foreign magic
 /// or a version other than `expect_version`.
-pub fn get_header(buf: &mut Bytes, magic: &[u8; 4], expect_version: u32) -> Result<(), GraphError> {
+pub fn get_header<B: Buf>(
+    buf: &mut B,
+    magic: &[u8; 4],
+    expect_version: u32,
+) -> Result<(), GraphError> {
     let version = get_header_versioned(buf, magic, expect_version..=expect_version)?;
     debug_assert_eq!(version, expect_version);
     Ok(())
@@ -36,8 +42,8 @@ pub fn get_header(buf: &mut Bytes, magic: &[u8; 4], expect_version: u32) -> Resu
 /// Reads and checks the `magic` + version header, accepting any version in
 /// `accept` (tolerant readers for version-bumped formats). Returns the
 /// version actually found.
-pub fn get_header_versioned(
-    buf: &mut Bytes,
+pub fn get_header_versioned<B: Buf>(
+    buf: &mut B,
     magic: &[u8; 4],
     accept: std::ops::RangeInclusive<u32>,
 ) -> Result<u32, GraphError> {
@@ -122,25 +128,37 @@ pub fn put_checksum_trailer(buf: &mut BytesMut) {
     buf.put_u64_le(h);
 }
 
-/// Verifies and strips the checksum trailer from a whole-file byte vector,
-/// returning the payload (header included) for parsing. Catches torn/short
-/// writes and bit corruption anywhere in the file.
-pub fn strip_checksum_trailer(raw: Vec<u8>) -> Result<Bytes, GraphError> {
-    if raw.len() < CHECKSUM_LEN {
+/// Splits a whole file into its payload (header included) and the checksum
+/// its trailer records, without copying or verifying anything.
+pub fn split_checksum_trailer(raw: &[u8]) -> Result<(&[u8], u64), GraphError> {
+    let Some(split) = raw.len().checked_sub(CHECKSUM_LEN) else {
         return Err(GraphError::Format("truncated file".into()));
-    }
-    let split = raw.len() - CHECKSUM_LEN;
-    let expect = u64::from_le_bytes(raw[split..].try_into().expect("8-byte trailer"));
-    let mut payload = raw;
-    payload.truncate(split);
-    let actual = fnv1a(&payload);
+    };
+    let (payload, trailer) = raw.split_at(split);
+    let expect = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
+    Ok((payload, expect))
+}
+
+/// Errors unless `payload` hashes to `expect`. Catches torn/short writes
+/// and bit corruption anywhere in the file.
+pub fn verify_checksum(payload: &[u8], expect: u64) -> Result<(), GraphError> {
+    let actual = fnv1a(payload);
     if actual != expect {
         return Err(GraphError::Format(format!(
             "checksum mismatch: file says {expect:#018x}, computed {actual:#018x} \
              (torn write or corruption)"
         )));
     }
-    Ok(Bytes::from(payload))
+    Ok(())
+}
+
+/// Verifies and strips the checksum trailer from a whole-file byte vector,
+/// returning the payload (header included) for parsing.
+pub fn strip_checksum_trailer(mut raw: Vec<u8>) -> Result<Bytes, GraphError> {
+    let (payload, expect) = split_checksum_trailer(&raw)?;
+    verify_checksum(payload, expect)?;
+    raw.truncate(payload.len());
+    Ok(Bytes::from(raw))
 }
 
 /// Writes `values` as little-endian u64s (usizes widen losslessly).
@@ -151,9 +169,37 @@ pub fn put_usize_array(buf: &mut BytesMut, values: &[usize]) {
 }
 
 /// Reads `len` little-endian u64s as usizes, checking truncation first.
-pub fn get_usize_array(buf: &mut Bytes, len: usize) -> Result<Vec<usize>, GraphError> {
-    need(buf, len * 8)?;
-    Ok((0..len).map(|_| buf.get_u64_le() as usize).collect())
+pub fn get_usize_array<B: Buf>(buf: &mut B, len: usize) -> Result<Vec<usize>, GraphError> {
+    get_array(buf, len, |b: [u8; 8]| u64::from_le_bytes(b) as usize)
+}
+
+/// Reads the `rows + 1` entries of a CSR-style offset array (bounds are
+/// checked by [`check_offsets`] or the format's own validator).
+pub fn get_offsets<B: Buf>(buf: &mut B, rows: usize) -> Result<Vec<usize>, GraphError> {
+    let len = rows
+        .checked_add(1)
+        .ok_or_else(|| GraphError::Format(format!("row count {rows} overflows")))?;
+    get_usize_array(buf, len)
+}
+
+/// Decodes `len` fixed-width elements in one pass over the contiguous
+/// [`Buf::chunk`], after checking the byte length for overflow and
+/// truncation, then consumes them with one [`Buf::advance`].
+fn get_array<B: Buf, T, const W: usize>(
+    buf: &mut B,
+    len: usize,
+    decode: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>, GraphError> {
+    let bytes = len
+        .checked_mul(W)
+        .ok_or_else(|| GraphError::Format(format!("array of {len} elements overflows")))?;
+    need(buf, bytes)?;
+    let values = buf.chunk()[..bytes]
+        .chunks_exact(W)
+        .map(|c| decode(c.try_into().expect("W-byte chunk")))
+        .collect();
+    buf.advance(bytes);
+    Ok(values)
 }
 
 /// Writes `values` as little-endian u32s.
@@ -164,9 +210,8 @@ pub fn put_u32_array(buf: &mut BytesMut, values: &[u32]) {
 }
 
 /// Reads `len` little-endian u32s, checking truncation first.
-pub fn get_u32_array(buf: &mut Bytes, len: usize) -> Result<Vec<u32>, GraphError> {
-    need(buf, len * 4)?;
-    Ok((0..len).map(|_| buf.get_u32_le()).collect())
+pub fn get_u32_array<B: Buf>(buf: &mut B, len: usize) -> Result<Vec<u32>, GraphError> {
+    get_array(buf, len, u32::from_le_bytes)
 }
 
 /// Writes `values` as little-endian f64s.
@@ -177,9 +222,8 @@ pub fn put_f64_array(buf: &mut BytesMut, values: &[f64]) {
 }
 
 /// Reads `len` little-endian f64s, checking truncation first.
-pub fn get_f64_array(buf: &mut Bytes, len: usize) -> Result<Vec<f64>, GraphError> {
-    need(buf, len * 8)?;
-    Ok((0..len).map(|_| buf.get_f64_le()).collect())
+pub fn get_f64_array<B: Buf>(buf: &mut B, len: usize) -> Result<Vec<f64>, GraphError> {
+    get_array(buf, len, f64::from_le_bytes)
 }
 
 /// Validates a CSR-style offset array: starts at 0, monotone non-decreasing,
@@ -247,6 +291,39 @@ mod tests {
         assert!(get_usize_array(&mut cut, 3).is_ok());
         assert!(get_u32_array(&mut cut, 2).is_ok());
         assert!(get_f64_array(&mut cut, 2).is_err());
+
+        // A borrowed slice decodes the same values and is consumed alike.
+        let mut s: &[u8] = &raw;
+        assert_eq!(get_offsets(&mut s, 2).unwrap(), vec![0, 3, 7]);
+        assert_eq!(get_u32_array(&mut s, 2).unwrap(), vec![1, 2]);
+        assert_eq!(get_f64_array(&mut s, 2).unwrap(), vec![0.5, -1.25]);
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn array_lengths_that_overflow_are_format_errors() {
+        let raw = [0u8; 64];
+        for len in [usize::MAX, usize::MAX / 4 + 1, (1usize << 61) + 4] {
+            let mut s: &[u8] = &raw;
+            assert!(matches!(
+                get_usize_array(&mut s, len),
+                Err(GraphError::Format(_))
+            ));
+            assert!(matches!(
+                get_f64_array(&mut s, len),
+                Err(GraphError::Format(_))
+            ));
+            assert_eq!(s.len(), raw.len(), "a rejected read consumes nothing");
+        }
+        let mut s: &[u8] = &raw;
+        assert!(matches!(
+            get_u32_array(&mut s, usize::MAX / 2),
+            Err(GraphError::Format(_))
+        ));
+        assert!(matches!(
+            get_offsets(&mut s, usize::MAX),
+            Err(GraphError::Format(_))
+        ));
     }
 
     #[test]
@@ -275,6 +352,9 @@ mod tests {
 
         let payload = strip_checksum_trailer(raw.clone()).unwrap();
         assert_eq!(payload.remaining(), raw.len() - CHECKSUM_LEN);
+        let (borrowed, expect) = split_checksum_trailer(&raw).unwrap();
+        assert_eq!(borrowed, payload.chunk());
+        verify_checksum(borrowed, expect).unwrap();
 
         // Any single-bit flip is caught, in payload or trailer alike.
         for byte in 0..raw.len() {

@@ -158,10 +158,10 @@ pub fn read_index<R: Read>(mut reader: R) -> Result<SimilarityIndex, GraphError>
         (SketchMode::Off, None)
     };
 
-    let offsets = framing::get_usize_array(&mut buf, n + 1)?;
+    let offsets = framing::get_offsets(&mut buf, n)?;
     let nbr = framing::get_u32_array(&mut buf, arcs)?;
     let sig = framing::get_f64_array(&mut buf, arcs)?;
-    let co_offsets = framing::get_usize_array(&mut buf, mu_max + 1)?;
+    let co_offsets = framing::get_offsets(&mut buf, mu_max)?;
     let co_vertices = framing::get_u32_array(&mut buf, arcs)?;
     let co_thresholds = framing::get_f64_array(&mut buf, arcs)?;
 
