@@ -58,27 +58,78 @@ impl Clustering {
     /// Renumbers cluster labels densely (0..k, in order of first appearance)
     /// in place, leaving `NOISE`/`UNCLASSIFIED` fixed. Returns the number of
     /// clusters.
+    ///
+    /// Hash-free: labels below `len` (every label the SCAN family assigns)
+    /// remap through a dense table; the rare larger ones through a sorted
+    /// side table.
     pub fn canonicalize(&mut self) -> usize {
-        let mut map = std::collections::HashMap::new();
+        const UNSET: u32 = u32::MAX;
+        let bound = self.dense_bound();
+        let large = self.large_labels();
+        let mut dense = vec![UNSET; bound as usize];
+        let mut sparse = vec![UNSET; large.len()];
+        let mut next = 0u32;
         for l in self.labels.iter_mut() {
             if *l == NOISE || *l == UNCLASSIFIED {
                 continue;
             }
-            let next = map.len() as u32;
-            *l = *map.entry(*l).or_insert(next);
+            let slot = if *l < bound {
+                &mut dense[*l as usize]
+            } else {
+                &mut sparse[large.binary_search(l).expect("collected above")]
+            };
+            if *slot == UNSET {
+                *slot = next;
+                next += 1;
+            }
+            *l = *slot;
         }
-        map.len()
+        next as usize
     }
 
-    /// Number of distinct (non-noise) clusters.
+    /// Number of distinct (non-noise) clusters. Hash-free, like
+    /// [`Clustering::canonicalize`]: a bitmap over labels below `len`, plus
+    /// the sorted distinct labels at or above it.
     pub fn num_clusters(&self) -> usize {
-        let mut set = std::collections::HashSet::new();
+        let bound = self.dense_bound();
+        // One bit per dense label, plus an overflow bit at `bound` that
+        // every other label (sentinels included) lands on, so no label
+        // takes an unpredictable branch; the overflow bit is dropped below.
+        let mut seen = vec![0u64; bound as usize / 64 + 1];
+        let mut large = Vec::new();
         for &l in &self.labels {
-            if l != NOISE && l != UNCLASSIFIED {
-                set.insert(l);
+            let slot = l.min(bound) as usize;
+            seen[slot / 64] |= 1 << (slot % 64);
+            if is_large(l, bound) {
+                large.push(l);
             }
         }
-        set.len()
+        seen[bound as usize / 64] &= !(1 << (bound % 64));
+        large.sort_unstable();
+        large.dedup();
+        seen.iter().map(|w| w.count_ones() as usize).sum::<usize>() + large.len()
+    }
+
+    /// Labels below this bound index the dense tables of
+    /// [`Clustering::num_clusters`] and [`Clustering::canonicalize`]: `len`,
+    /// capped so that the sentinels never fall below it.
+    fn dense_bound(&self) -> u32 {
+        self.labels.len().min(UNCLASSIFIED as usize) as u32
+    }
+
+    /// The distinct cluster labels at or above [`Clustering::dense_bound`],
+    /// sorted (sentinels excluded).
+    fn large_labels(&self) -> Vec<u32> {
+        let bound = self.dense_bound();
+        let mut large: Vec<u32> = self
+            .labels
+            .iter()
+            .copied()
+            .filter(|&l| is_large(l, bound))
+            .collect();
+        large.sort_unstable();
+        large.dedup();
+        large
     }
 
     /// Sizes of all clusters, keyed by label.
@@ -164,6 +215,13 @@ impl Clustering {
     }
 }
 
+/// Whether `l` is a cluster label at or above `bound` (which is at most
+/// `UNCLASSIFIED`). One comparison: labels below `bound` wrap around past
+/// the range, and the two sentinels are the largest `u32`s.
+fn is_large(l: u32, bound: u32) -> bool {
+    l.wrapping_sub(bound) < UNCLASSIFIED - bound
+}
+
 /// Per-role tallies (Fig. 7 right panel).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoleCounts {
@@ -185,6 +243,8 @@ impl RoleCounts {
 mod tests {
     use super::*;
     use anyscan_graph::GraphBuilder;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn canonicalize_renumbers_densely() {
@@ -261,5 +321,62 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.num_clusters(), 0);
         assert_eq!(c.role_counts().unclassified, 3);
+    }
+
+    /// Labels mixing every class the hash-free counts distinguish: small
+    /// labels (mostly `< len`), repeated labels above `len`, labels just
+    /// below the sentinels, `NOISE` and `UNCLASSIFIED`. Lengths start at 0,
+    /// so the empty clustering is drawn too.
+    fn arb_labels() -> impl Strategy<Value = Vec<u32>> {
+        proptest::collection::vec((0u8..5, 0u32..24), 0..48).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|(class, x)| match class {
+                    0 => x,
+                    1 => 1_000 + x,
+                    2 => UNCLASSIFIED - 1 - x % 3,
+                    3 => NOISE,
+                    _ => UNCLASSIFIED,
+                })
+                .collect()
+        })
+    }
+
+    fn with_labels(labels: Vec<u32>) -> Clustering {
+        let n = labels.len();
+        Clustering {
+            labels,
+            roles: vec![Role::Core; n],
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn num_clusters_matches_a_hash_set(labels in arb_labels()) {
+            let reference: HashSet<u32> = labels
+                .iter()
+                .copied()
+                .filter(|&l| l != NOISE && l != UNCLASSIFIED)
+                .collect();
+            prop_assert_eq!(with_labels(labels).num_clusters(), reference.len());
+        }
+
+        #[test]
+        fn canonicalize_matches_a_hash_map(labels in arb_labels()) {
+            let mut map = HashMap::new();
+            let expected: Vec<u32> = labels
+                .iter()
+                .map(|&l| {
+                    if l == NOISE || l == UNCLASSIFIED {
+                        return l;
+                    }
+                    let next = map.len() as u32;
+                    *map.entry(l).or_insert(next)
+                })
+                .collect();
+            let mut c = with_labels(labels);
+            prop_assert_eq!(c.canonicalize(), map.len());
+            prop_assert_eq!(c.labels, expected);
+        }
     }
 }

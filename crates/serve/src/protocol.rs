@@ -19,7 +19,7 @@
 use std::io::{Read, Write};
 
 use anyscan_dynamic::{EdgeOp, EdgeUpdate};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 
 /// Ceiling on request payloads the daemon will read. Requests are a few
 /// dozen bytes; anything larger is garbage or abuse.
@@ -133,7 +133,7 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn need(buf: &Bytes, n: usize) -> Result<(), DecodeError> {
+fn need<B: Buf>(buf: &B, n: usize) -> Result<(), DecodeError> {
     if buf.remaining() < n {
         Err(DecodeError::Truncated)
     } else {
@@ -141,7 +141,7 @@ fn need(buf: &Bytes, n: usize) -> Result<(), DecodeError> {
     }
 }
 
-fn finish(buf: &Bytes) -> Result<(), DecodeError> {
+fn finish<B: Buf>(buf: &B) -> Result<(), DecodeError> {
     if buf.remaining() > 0 {
         Err(DecodeError::TrailingBytes(buf.remaining()))
     } else {
@@ -282,13 +282,13 @@ impl Request {
                 }
             }
         }
-        buf.to_vec()
+        buf.into()
     }
 
     /// Parses a frame payload. Purely structural: parameter semantics
     /// (ε range, μ ≥ 1, vertex bounds) are the server's `BadRequest`.
     pub fn decode(payload: &[u8]) -> Result<Request, DecodeError> {
-        let mut buf = Bytes::from(payload);
+        let mut buf = payload;
         need(&buf, 1)?;
         let op = buf.get_u8();
         let req = match op {
@@ -548,6 +548,13 @@ pub enum Response {
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
 
+/// Bytes of a labelled `Query` response before its per-vertex arrays:
+/// status, opcode, the 20-byte summary, the block flag and the `u32` count.
+const QUERY_BLOCK_HEADER_LEN: usize = 2 + 20 + 1 + 4;
+
+/// Bytes one vertex occupies in a label block: a `u32` label, a role byte.
+const LABEL_BLOCK_VERTEX_LEN: usize = 5;
+
 fn put_summary(buf: &mut BytesMut, s: &QuerySummary) {
     buf.put_u32_le(s.clusters);
     buf.put_u32_le(s.cores);
@@ -556,7 +563,7 @@ fn put_summary(buf: &mut BytesMut, s: &QuerySummary) {
     buf.put_u32_le(s.outliers);
 }
 
-fn get_summary(buf: &mut Bytes) -> Result<QuerySummary, DecodeError> {
+fn get_summary(buf: &mut &[u8]) -> Result<QuerySummary, DecodeError> {
     need(buf, 20)?;
     Ok(QuerySummary {
         clusters: buf.get_u32_le(),
@@ -568,9 +575,10 @@ fn get_summary(buf: &mut Bytes) -> Result<QuerySummary, DecodeError> {
 }
 
 impl Response {
-    /// Serializes the response into a frame payload.
+    /// Serializes the response into a frame payload; a label block's is
+    /// allocated once, at its exact size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
         match self {
             Response::Query { summary, labels } => {
                 buf.put_u8(STATUS_OK);
@@ -581,8 +589,11 @@ impl Response {
                     Some(block) => {
                         buf.put_u8(1);
                         buf.put_u32_le(block.labels.len() as u32);
-                        for &l in &block.labels {
-                            buf.put_u32_le(l);
+                        // One pass over the label array, written in place.
+                        let start = buf.len();
+                        buf.resize(start + 4 * block.labels.len(), 0);
+                        for (dst, &l) in buf[start..].chunks_exact_mut(4).zip(&block.labels) {
+                            dst.copy_from_slice(&l.to_le_bytes());
                         }
                         buf.put_slice(&block.roles);
                     }
@@ -677,12 +688,26 @@ impl Response {
                 buf.put_slice(message.as_bytes());
             }
         }
-        buf.to_vec()
+        buf.into()
     }
 
-    /// Parses a frame payload into a response.
+    /// Capacity [`Response::encode`] starts from: a labelled `Query`'s exact
+    /// payload size, else room for every fixed layout (`Ping`, the largest,
+    /// is 99 bytes).
+    fn encoded_len(&self) -> usize {
+        match self {
+            Response::Query {
+                labels: Some(block),
+                ..
+            } => QUERY_BLOCK_HEADER_LEN + LABEL_BLOCK_VERTEX_LEN * block.labels.len(),
+            _ => 128,
+        }
+    }
+
+    /// Parses a frame payload into a response, reading the borrowed bytes
+    /// in place.
     pub fn decode(payload: &[u8]) -> Result<Response, DecodeError> {
-        let mut buf = Bytes::from(payload);
+        let mut buf = payload;
         need(&buf, 1)?;
         let resp = match buf.get_u8() {
             STATUS_OK => {
@@ -698,25 +723,26 @@ impl Response {
                                 let n = buf.get_u32_le() as usize;
                                 // 5 bytes per vertex must still fit in the
                                 // remaining payload, or the count is a lie.
-                                if buf
-                                    .remaining()
-                                    .checked_sub(n.checked_mul(5).ok_or(DecodeError::BadValue(
-                                        "label block length overflows",
-                                    ))?)
-                                    .is_none()
-                                {
-                                    return Err(DecodeError::Truncated);
-                                }
-                                let mut labels = Vec::with_capacity(n);
-                                for _ in 0..n {
-                                    labels.push(buf.get_u32_le());
-                                }
-                                let mut roles = vec![0u8; n];
-                                buf.copy_to_slice(&mut roles);
+                                let bytes = n
+                                    .checked_mul(LABEL_BLOCK_VERTEX_LEN)
+                                    .ok_or(DecodeError::BadValue("label block length overflows"))?;
+                                need(&buf, bytes)?;
+                                let (raw_labels, rest) = buf.split_at(4 * n);
+                                let (roles, rest) = rest.split_at(n);
                                 if roles.iter().any(|&r| role_name(r).is_none()) {
                                     return Err(DecodeError::BadValue("role code"));
                                 }
-                                Some(LabelBlock { labels, roles })
+                                let labels = raw_labels
+                                    .chunks_exact(4)
+                                    .map(|c| {
+                                        u32::from_le_bytes(c.try_into().expect("4-byte chunk"))
+                                    })
+                                    .collect();
+                                buf = rest;
+                                Some(LabelBlock {
+                                    labels,
+                                    roles: roles.to_vec(),
+                                })
                             }
                             _ => return Err(DecodeError::BadValue("label-block flag")),
                         };
@@ -865,6 +891,7 @@ pub fn completion_name(code: u8) -> Option<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anyscan_scan_common::NOISE;
 
     fn roundtrip_request(req: Request) {
         let decoded = Request::decode(&req.encode()).unwrap();
@@ -1039,6 +1066,44 @@ mod tests {
         ] {
             assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
         }
+    }
+
+    /// The label-block layout old clients and `anyscan-loadgen` decode:
+    /// status, opcode, summary, flag, `u32` count, little-endian labels,
+    /// then one role byte per vertex.
+    #[test]
+    fn label_block_layout_is_pinned() {
+        let summary = QuerySummary {
+            clusters: 2,
+            cores: 1,
+            borders: 1,
+            hubs: 0,
+            outliers: 1,
+        };
+        let resp = Response::Query {
+            summary,
+            labels: Some(LabelBlock {
+                labels: vec![0x0403_0201, 0, NOISE],
+                roles: vec![0, 1, 3],
+            }),
+        };
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            STATUS_OK, OP_QUERY,
+            2, 0, 0, 0,  1, 0, 0, 0,  1, 0, 0, 0,  0, 0, 0, 0,  1, 0, 0, 0,
+            1,
+            3, 0, 0, 0,
+            1, 2, 3, 4,  0, 0, 0, 0,  0xff, 0xff, 0xff, 0xff,
+            0, 1, 3,
+        ];
+        assert_eq!(resp.encode(), golden);
+        assert_eq!(Response::decode(golden).unwrap(), resp);
+
+        let bare = Response::Query {
+            summary,
+            labels: None,
+        };
+        assert_eq!(bare.encode(), [&golden[..22], &[0]].concat());
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! permutation is non-identity). A daemon response and a serial CLI run on
 //! the same ASIX file are therefore bit-identical.
 //!
+//! The query cache holds answers in wire form: the summary and the
+//! [`LabelBlock`] (labels plus role codes, in original ids) are built once,
+//! when a `(ε, μ)` first misses. A labelled `Query` hit copies the summary
+//! and clones the block; a `Membership` hit indexes the block directly.
+//! Nothing is recounted or re-mapped per hit.
+//!
 //! Dynamic daemons ([`Server::new_dynamic`]) additionally accept
 //! `ApplyUpdates` batches. Reads and writes coexist through an **epoch
 //! swap**: the read path clones an `Arc` snapshot (index + epoch counter)
@@ -71,7 +77,7 @@ pub struct ServerConfig {
     pub max_inflight: usize,
     /// Requests allowed to wait for a slot before `Overloaded` (default 16).
     pub queue_depth: usize,
-    /// Memoized `(eps, mu)` clusterings kept for queries/lookups
+    /// Memoized `(eps, mu)` answers kept for queries/lookups
     /// (default 16, 0 disables the cache).
     pub cache_entries: usize,
     /// Per-connection read/write timeout (`--conn-timeout-ms`); `None`
@@ -177,11 +183,11 @@ pub struct Server {
     leader_hint: Mutex<String>,
     /// Durable-watermark publication point for subscription threads.
     durability: Durability,
-    /// Tiny LRU of query results keyed `(eps.to_bits(), mu)`, stored in
-    /// original vertex ids; hits move to the back, evictions pop the front.
-    /// Cleared on every epoch swap, so entries always describe the epoch
-    /// being served.
-    cache: Mutex<Vec<(CacheKey, Arc<Clustering>)>>,
+    /// Tiny LRU of wire-form answers ([`CachedAnswer`]: summary plus label
+    /// block, in original vertex ids) keyed `(eps.to_bits(), mu, epoch)`;
+    /// hits move to the back, evictions pop the front. Cleared on every
+    /// epoch swap, so entries always describe the epoch being served.
+    cache: Mutex<Vec<(CacheKey, Arc<CachedAnswer>)>>,
 }
 
 /// Query-cache key: `(eps.to_bits(), mu, epoch)`. The epoch component makes
@@ -189,6 +195,29 @@ pub struct Server {
 /// unreachable to post-swap readers; the swap's cache clear just frees the
 /// memory.
 type CacheKey = (u64, u32, u64);
+
+/// One memoized `(eps, mu)` answer, in the form the wire carries it. Built
+/// once per miss; the only per-vertex copy the cache keeps.
+struct CachedAnswer {
+    summary: QuerySummary,
+    block: LabelBlock,
+}
+
+impl CachedAnswer {
+    /// Summarizes `c` and moves its arrays into the block. Roles are coded
+    /// once here rather than on every hit; `Role` and its wire code are
+    /// both one byte, so the standard library's in-place collect reuses the
+    /// role array's allocation.
+    fn new(c: Clustering) -> CachedAnswer {
+        CachedAnswer {
+            summary: summarize(&c),
+            block: LabelBlock {
+                labels: c.labels,
+                roles: c.roles.into_iter().map(role_code).collect(),
+            },
+        }
+    }
+}
 
 impl Server {
     /// Builds a server over a graph already relabeled by the index's
@@ -671,13 +700,10 @@ impl Server {
                 let _span = self.telemetry.span("serve_query");
                 self.stats.queries.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.add(Counter::ServeQueries, 1);
-                let c = self.cached_query(&self.snapshot(), params);
+                let answer = self.cached_query(&self.snapshot(), params);
                 Response::Query {
-                    summary: summarize(&c),
-                    labels: want_labels.then(|| LabelBlock {
-                        labels: c.labels.clone(),
-                        roles: c.roles.iter().copied().map(role_code).collect(),
-                    }),
+                    summary: answer.summary,
+                    labels: want_labels.then(|| answer.block.clone()),
                 }
             }
             Request::Membership { vertex, eps, mu } => {
@@ -695,10 +721,10 @@ impl Server {
                 let _span = self.telemetry.span("serve_lookup");
                 self.stats.lookups.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.add(Counter::ServeLookups, 1);
-                let c = self.cached_query(&ep, params);
+                let block = &self.cached_query(&ep, params).block;
                 Response::Membership {
-                    label: c.labels[vertex as usize],
-                    role: role_code(c.roles[vertex as usize]),
+                    label: block.labels[vertex as usize],
+                    role: block.roles[vertex as usize],
                 }
             }
             Request::ApplyUpdates { updates } => self.apply_updates(&updates),
@@ -999,12 +1025,12 @@ impl Server {
         Ok((stats, new_epoch))
     }
 
-    /// An index query in original vertex ids, memoized. Concurrent misses
-    /// on the same key may compute twice; the results are identical (the
-    /// sweep is deterministic), so last-insert-wins is harmless. Keys carry
-    /// the snapshot's epoch, so a slow pre-swap reader can never poison
-    /// post-swap answers.
-    fn cached_query(&self, ep: &Epoch, params: ScanParams) -> Arc<Clustering> {
+    /// An index query in original vertex ids, memoized in wire form.
+    /// Concurrent misses on the same key may compute twice; the results are
+    /// identical (the sweep is deterministic), so last-insert-wins is
+    /// harmless. Keys carry the snapshot's epoch, so a slow pre-swap reader
+    /// can never poison post-swap answers.
+    fn cached_query(&self, ep: &Epoch, params: ScanParams) -> Arc<CachedAnswer> {
         let key = (params.epsilon.to_bits(), params.mu as u32, ep.epoch);
         if self.config.cache_entries > 0 {
             let mut cache = self.cache.lock().unwrap();
@@ -1015,7 +1041,9 @@ impl Server {
                 return c;
             }
         }
-        let c = Arc::new(self.to_original(ep.index.query_offline_traced(params, &self.telemetry)));
+        let c = Arc::new(CachedAnswer::new(
+            self.to_original(ep.index.query_offline_traced(params, &self.telemetry)),
+        ));
         if self.config.cache_entries > 0 {
             let mut cache = self.cache.lock().unwrap();
             if !cache.iter().any(|(k, _)| *k == key) {

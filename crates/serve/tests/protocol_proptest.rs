@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use proptest::strategy::Strategy;
 
 use anyscan_serve::protocol::{
-    read_frame, write_frame, DecodeError, FrameError, Health, Request, Response, ServeStats,
-    WireUpdate,
+    read_frame, write_frame, DecodeError, FrameError, Health, LabelBlock, QuerySummary, Request,
+    Response, ServeStats, WireUpdate,
 };
 
 /// All eight request shapes, driven off one field tuple (the vendored
@@ -112,6 +112,37 @@ fn arb_repl_response() -> impl Strategy<Value = Response> {
         )
 }
 
+/// `Query` responses with and without a label block: a summary plus, when
+/// the flag is set, 0..300 vertices of arbitrary labels and valid role codes.
+fn arb_query_response() -> impl Strategy<Value = Response> {
+    (
+        (
+            0u32..1000,
+            0u32..1000,
+            0u32..1000,
+            0u32..1000,
+            0u32..1000,
+            0u32..2,
+        ),
+        proptest::collection::vec((0u32..=u32::MAX, 0u8..5), 0..300),
+    )
+        .prop_map(
+            |((clusters, cores, borders, hubs, outliers, flag), vertices)| Response::Query {
+                summary: QuerySummary {
+                    clusters,
+                    cores,
+                    borders,
+                    hubs,
+                    outliers,
+                },
+                labels: (flag == 1).then(|| LabelBlock {
+                    labels: vertices.iter().map(|&(label, _)| label).collect(),
+                    roles: vertices.iter().map(|&(_, role)| role).collect(),
+                }),
+            },
+        )
+}
+
 proptest! {
     #[test]
     fn requests_roundtrip(req in arb_request()) {
@@ -180,6 +211,58 @@ proptest! {
         if let Ok(decoded) = Response::decode(&raw) {
             prop_assert_eq!(Response::decode(&decoded.encode()).unwrap(), decoded);
         }
+    }
+
+    #[test]
+    fn query_responses_roundtrip(resp in arb_query_response()) {
+        let decoded = Response::decode(&resp.encode()).unwrap();
+        prop_assert_eq!(decoded, resp);
+    }
+
+    #[test]
+    fn truncated_query_responses_are_typed_errors(
+        resp in arb_query_response(),
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let full = resp.encode();
+        let cut = ((full.len() - 1) as f64 * cut_frac) as usize;
+        // The block's count is checked against the remaining payload before
+        // any label is read, so every strict prefix is a typed Truncated.
+        prop_assert_eq!(Response::decode(&full[..cut]), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn mutated_query_responses_never_panic(
+        resp in arb_query_response(),
+        byte_frac in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        let mut raw = resp.encode();
+        let byte = ((raw.len() - 1) as f64 * byte_frac) as usize;
+        raw[byte] ^= 1 << bit;
+        // Any outcome but a panic. The Query layout has one encoding per
+        // value, so a successful decode re-encodes to the mutated bytes.
+        if let Ok(decoded) = Response::decode(&raw) {
+            prop_assert_eq!(decoded.encode(), raw);
+        }
+    }
+
+    #[test]
+    fn query_responses_reject_invalid_role_codes(
+        labels in proptest::collection::vec(0u32..=u32::MAX, 1..300),
+        at_frac in 0.0f64..1.0,
+        code in 5u8..=255,
+    ) {
+        let n = labels.len();
+        let mut raw = Response::Query {
+            summary: QuerySummary::default(),
+            labels: Some(LabelBlock { labels, roles: vec![0; n] }),
+        }
+        .encode();
+        // Roles are the last n bytes of the payload.
+        let at = raw.len() - n + ((n - 1) as f64 * at_frac) as usize;
+        raw[at] = code;
+        prop_assert_eq!(Response::decode(&raw), Err(DecodeError::BadValue("role code")));
     }
 
     #[test]

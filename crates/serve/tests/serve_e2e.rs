@@ -12,16 +12,17 @@ use std::time::Duration;
 
 use anyscan::RunControl;
 use anyscan_graph::gen::{planted_partition, PlantedPartitionParams};
-use anyscan_graph::{CsrGraph, VertexPermutation};
+use anyscan_graph::reorder::reorder;
+use anyscan_graph::{CsrGraph, ReorderMode, VertexPermutation};
 use anyscan_index::SimilarityIndex;
-use anyscan_scan_common::ScanParams;
+use anyscan_scan_common::{Clustering, ScanParams};
 use anyscan_serve::protocol::{
     read_frame, write_frame, ErrorCode, LabelBlock, QuerySummary, Request, Response,
     RESPONSE_FRAME_LIMIT,
 };
 use anyscan_serve::server::role_code;
 use anyscan_serve::{Listener, Server, ServerConfig};
-use anyscan_telemetry::Telemetry;
+use anyscan_telemetry::{Counter, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,8 +45,14 @@ struct Daemon {
 impl Daemon {
     fn start(config: ServerConfig) -> Daemon {
         let g = test_graph();
-        let idx = SimilarityIndex::build(&g, 1);
         let perm = VertexPermutation::identity(g.num_vertices());
+        Daemon::start_on(g, perm, config)
+    }
+
+    /// A daemon over `g` (already relabeled by `perm`, as `serve` does for a
+    /// reordered index) answering in original vertex ids.
+    fn start_on(g: CsrGraph, perm: VertexPermutation, config: ServerConfig) -> Daemon {
+        let idx = SimilarityIndex::build(&g, 1);
         let server = Arc::new(Server::new(g, perm, idx, config, Telemetry::enabled()).unwrap());
         let (listener, addr) = Listener::bind_tcp("127.0.0.1:0").unwrap();
         let stop = RunControl::new();
@@ -66,6 +73,12 @@ impl Daemon {
         let s = TcpStream::connect(self.addr).unwrap();
         s.set_nodelay(true).unwrap();
         s
+    }
+
+    /// How many index queries the daemon has run: a cache hit runs none.
+    fn index_queries(&self) -> u64 {
+        let report = self.server.telemetry().report().unwrap();
+        report.counter(Counter::IndexQueries)
     }
 }
 
@@ -94,7 +107,10 @@ fn call<S: Read + Write>(stream: &mut S, request: &Request) -> Response {
 fn serial_answer() -> (QuerySummary, LabelBlock) {
     let g = test_graph();
     let idx = SimilarityIndex::build(&g, 1);
-    let c = idx.query(&g, ScanParams::new(EPS, MU as usize));
+    wire_form(idx.query(&g, ScanParams::new(EPS, MU as usize)))
+}
+
+fn wire_form(c: Clustering) -> (QuerySummary, LabelBlock) {
     let rc = c.role_counts();
     (
         QuerySummary {
@@ -336,4 +352,94 @@ fn shutdown_request_drains_the_daemon() {
     // The accept loop notices the stop flag and exits on its own.
     join.join().unwrap().unwrap();
     assert!(daemon.server.is_stopping());
+}
+
+/// A repeated labelled `Query` is answered from the wire-form cache: both
+/// frames equal the serial answer byte for byte, yet only the first ran an
+/// index query. A `Membership` read after the hit indexes the same block.
+#[test]
+fn repeated_labelled_query_hits_the_cache_with_identical_frames() {
+    let daemon = Daemon::start(ServerConfig::default());
+    let (summary, labels) = serial_answer();
+    let expected = Response::Query {
+        summary,
+        labels: Some(labels.clone()),
+    }
+    .encode();
+    let query = Request::Query {
+        eps: EPS,
+        mu: MU,
+        want_labels: true,
+    };
+    let mut stream = daemon.connect();
+    assert_eq!(call_raw(&mut stream, &query), expected, "miss frame");
+    assert_eq!(call_raw(&mut stream, &query), expected, "hit frame");
+    assert_eq!(daemon.index_queries(), 1, "the second answer was not a hit");
+
+    for vertex in [0u32, 42, 150, 299] {
+        let request = Request::Membership {
+            vertex,
+            eps: EPS,
+            mu: MU,
+        };
+        assert_eq!(
+            call(&mut stream, &request),
+            Response::Membership {
+                label: labels.labels[vertex as usize],
+                role: labels.roles[vertex as usize],
+            },
+            "vertex {vertex}"
+        );
+    }
+    assert_eq!(
+        daemon.index_queries(),
+        1,
+        "lookups after the hit recomputed"
+    );
+}
+
+/// A daemon over a degree-reordered graph answers in original ids: its miss
+/// and hit frames both equal the serial `index query` answer mapped back
+/// through the permutation and canonicalized, as `--labels-out` writes it.
+#[test]
+fn reordered_daemon_answers_match_serial_in_original_ids() {
+    let (g, perm) = reorder(&test_graph(), ReorderMode::Degree);
+    assert!(
+        !perm.is_identity(),
+        "the test needs a non-identity permutation"
+    );
+    let params = ScanParams::new(EPS, MU as usize);
+    let mut c = SimilarityIndex::build(&g, 1).query(&g, params);
+    c.labels = perm.to_original(&c.labels);
+    c.roles = perm.to_original(&c.roles);
+    c.canonicalize();
+    let (summary, labels) = wire_form(c);
+    let expected = Response::Query {
+        summary,
+        labels: Some(labels.clone()),
+    }
+    .encode();
+
+    let daemon = Daemon::start_on(g, perm, ServerConfig::default());
+    let query = Request::Query {
+        eps: EPS,
+        mu: MU,
+        want_labels: true,
+    };
+    let mut stream = daemon.connect();
+    assert_eq!(call_raw(&mut stream, &query), expected, "miss frame");
+    assert_eq!(call_raw(&mut stream, &query), expected, "hit frame");
+    assert_eq!(daemon.index_queries(), 1);
+    let request = Request::Membership {
+        vertex: 7,
+        eps: EPS,
+        mu: MU,
+    };
+    assert_eq!(
+        call(&mut stream, &request),
+        Response::Membership {
+            label: labels.labels[7],
+            role: labels.roles[7],
+        }
+    );
 }
