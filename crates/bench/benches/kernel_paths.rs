@@ -1,6 +1,5 @@
-//! Microbenchmarks of the σ kernel paths — classic merge-join, hash
-//! probing, hub bitmaps, MinHash sketches, and batched source-major range
-//! queries — on a uniform (Erdős–Rényi) and a skewed (R-MAT power-law)
+//! Microbenchmarks of the σ kernel paths — classic merge-join, hub
+//! bitmaps, MinHash sketches, and batched source-major range queries — on a uniform (Erdős–Rényi) and a skewed (R-MAT power-law)
 //! degree distribution. The bitmap path only pays off when heavy rows
 //! exist, so the two shapes bracket its best and worst case; the sketch
 //! path's cost is degree-independent, so the same bracket shows where the
@@ -12,7 +11,7 @@ use rand::SeedableRng;
 
 use anyscan_graph::gen::{erdos_renyi, rmat, RmatParams, WeightModel};
 use anyscan_graph::CsrGraph;
-use anyscan_scan_common::{BatchScratch, Kernel, NeighborIndex, ScanParams, SketchMode};
+use anyscan_scan_common::{BatchScratch, Kernel, ScanParams, SketchMode};
 
 fn shapes() -> Vec<(&'static str, CsrGraph)> {
     let n = 4_096;
@@ -38,7 +37,6 @@ fn bench_kernel_paths(c: &mut Criterion) {
         let bitmap = Kernel::new(&g, params)
             .with_edge_cache(false)
             .with_hub_bitmaps(true);
-        let probe = NeighborIndex::new(&g);
         // Sketch build cost is excluded: it is paid once per run and the
         // question here is the steady-state per-decision price.
         let sketch = Kernel::new(&g, params)
@@ -50,15 +48,6 @@ fn bench_kernel_paths(c: &mut Criterion) {
                 let mut acc = 0usize;
                 for &(u, v) in &edges {
                     acc += merge.is_eps_neighbor(black_box(u), v) as usize;
-                }
-                acc
-            })
-        });
-        group.bench_function(format!("probe/{shape}"), |b| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for &(u, v) in &edges {
-                    acc += probe.sigma(black_box(&g), u, v);
                 }
                 acc
             })

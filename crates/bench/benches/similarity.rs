@@ -62,17 +62,6 @@ fn bench_similarity(c: &mut Criterion) {
                 acc
             })
         });
-        // The O(min(|N_p|,|N_q|)) hash-probing alternative (§II-A).
-        let index = anyscan_scan_common::NeighborIndex::new(&g);
-        group.bench_function(format!("sigma_hash_index/deg{avg_deg}"), |b| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for &(u, v) in &edges {
-                    acc += index.sigma(black_box(&g), u, v);
-                }
-                acc
-            })
-        });
     }
     group.finish();
 }

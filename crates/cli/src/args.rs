@@ -97,7 +97,7 @@ commands:
                [--block B] [--reorder none|degree|bfs] [--labels-out FILE]
                [--trace-json FILE] [--no-opt]
                [--sketch off|assist|approx] [--sketch-rows R] [--sketch-bits B]
-               [--hub-cap N] [--hub-min-degree D] [--probe-ratio R]
+               [--hub-cap N] [--hub-min-degree D]
                [--deadline-ms MS] [--max-blocks N]
                [--checkpoint FILE.asck] [--checkpoint-every N]
   resume       --checkpoint FILE.asck  --input FILE | --dataset ID
@@ -177,8 +177,8 @@ automatically, so the flag is only given at `cluster` / `index build` time
 `assist` keeps the clustering bit-identical (sketches only order and route
 work among the exact kernels); `approx` lets the estimate decide, with
 --sketch-rows R (default 128) and --sketch-bits 1|2|4|8|16 (default 8) as
-the error knob. --hub-cap / --hub-min-degree tune the hub-bitmap layer;
---probe-ratio moves the merge-vs-hash-probe crossover (both exact)"
+the error knob. --hub-cap / --hub-min-degree tune the hub-bitmap layer
+(exact at any setting)"
     );
 }
 

@@ -24,9 +24,7 @@ use anyscan_index::hierarchy::EpsilonHierarchy;
 use anyscan_index::io::{read_index, write_index};
 use anyscan_index::{explore, IndexBuildOptions, SimilarityIndex};
 use anyscan_scan_common::sketch::{DEFAULT_BITS, DEFAULT_ROWS, MAX_ROWS, VALID_BITS};
-use anyscan_scan_common::{
-    Clustering, HubBitmaps, ScanParams, SketchMode, HASH_PROBE_MISMATCH_RATIO, NOISE,
-};
+use anyscan_scan_common::{Clustering, HubBitmaps, ScanParams, SketchMode, NOISE};
 use anyscan_serve::{Listener, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,18 +92,8 @@ fn sketch_options(opts: &Options) -> Result<(SketchMode, usize, u32), String> {
     Ok((mode, rows, bits))
 }
 
-/// `--probe-ratio` (the σ merge-vs-hash-probe crossover; ≥ 1).
-fn probe_ratio(opts: &Options) -> Result<usize, String> {
-    let ratio: usize = opts.get_or("probe-ratio", HASH_PROBE_MISMATCH_RATIO)?;
-    if ratio == 0 {
-        return Err("--probe-ratio must be >= 1".into());
-    }
-    Ok(ratio)
-}
-
 /// Applies the kernel tuning flags — `--sketch`, `--sketch-rows`,
-/// `--sketch-bits`, `--hub-cap`, `--hub-min-degree`, `--probe-ratio` — to
-/// an anySCAN config.
+/// `--sketch-bits`, `--hub-cap`, `--hub-min-degree` — to an anySCAN config.
 fn apply_tuning(opts: &Options, config: AnyScanConfig) -> Result<AnyScanConfig, String> {
     let (mode, rows, bits) = sketch_options(opts)?;
     let hub_cap: usize = opts.get_or("hub-cap", HubBitmaps::DEFAULT_MAX_HUBS)?;
@@ -113,8 +101,7 @@ fn apply_tuning(opts: &Options, config: AnyScanConfig) -> Result<AnyScanConfig, 
     Ok(config
         .with_sketch(mode)
         .with_sketch_params(rows, bits)
-        .with_hub_params(hub_cap, hub_min)
-        .with_probe_ratio(probe_ratio(opts)?))
+        .with_hub_params(hub_cap, hub_min))
 }
 
 /// Loads the graph and applies the requested cache-locality reordering.
@@ -490,7 +477,6 @@ fn write_trace(
         ("sketch_bits", u64::from(config.sketch_bits).into()),
         ("hub_cap", (config.hub_max_hubs as u64).into()),
         ("hub_min_degree", (config.hub_min_degree as u64).into()),
-        ("probe_ratio", (config.probe_ratio as u64).into()),
     ];
     write_trace_with(path, telemetry, &meta)
 }
@@ -609,7 +595,6 @@ pub fn index_build(opts: &Options) -> CmdResult {
         sketch_rows: srows,
         sketch_bits: sbits,
         seed: opts.get_or("seed", 0x5CA7)?,
-        probe_ratio: probe_ratio(opts)?,
     };
     let start = Instant::now();
     // The ASIX file records the reorder mode so `index query` can re-derive

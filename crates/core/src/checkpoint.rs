@@ -14,7 +14,7 @@
 //! | section      | contents                                                   |
 //! |--------------|------------------------------------------------------------|
 //! | header       | magic `ASCK`, version u32                                  |
-//! | config       | ε f64, μ u64, α u64, β u64, threads u64, seed u64, flags u32, then (v2+) sketch rows u32, sketch bits u32, hub cap u32, hub min-degree u32, probe ratio u32 |
+//! | config       | ε f64, μ u64, α u64, β u64, threads u64, seed u64, flags u32, then (v2+) sketch rows u32, sketch bits u32, hub cap u32, hub min-degree u32, retired slot u32 ([`RETIRED_SLOT`]) |
 //! | graph        | n u64, arcs u64, edges u64, structure hash u64 (FNV-1a)    |
 //! | progress     | phase u8, phase_initialized u8, draw/work cursors u64, blocks u64, cumulative ns u64, union marks 3×u64, shared base u64 |
 //! | states       | n vertex-state bytes                                       |
@@ -53,10 +53,17 @@ use anyscan_graph::io::framing::{Buf, BufMut, Bytes, BytesMut};
 /// Magic bytes of the checkpoint format.
 pub const MAGIC: &[u8; 4] = b"ASCK";
 /// Current format version. v2 adds the sketch-mode code (flags bits 11–12)
-/// and a five-`u32` tuning tail (sketch rows/bits, hub cap/floor, probe
-/// ratio) after the flags word; v1 images decode with the defaults those
-/// runs actually used.
+/// and a five-`u32` tuning tail (sketch rows/bits, hub cap/floor, and
+/// [`RETIRED_SLOT`]) after the flags word; v1 images decode with the
+/// defaults those runs actually used.
 pub const VERSION: u32 = 2;
+/// Value written to the fifth tuning-tail word. That word held the
+/// index build's hash-probe crossover ratio, a knob that no longer exists
+/// (every σ row is now one dense pass). Keeping the word keeps the layout
+/// and version unchanged: writers store 16, the value every default run
+/// wrote, and readers still reject 0 as corrupt (as the old decoder did)
+/// but otherwise ignore it, so older images still restore.
+pub const RETIRED_SLOT: u32 = 16;
 /// Oldest format version [`Checkpoint::from_bytes`] still reads.
 pub const MIN_VERSION: u32 = 1;
 
@@ -234,7 +241,7 @@ impl Checkpoint {
         buf.put_u32_le(c.sketch_bits);
         buf.put_u32_le(c.hub_max_hubs.min(u32::MAX as usize) as u32);
         buf.put_u32_le(c.hub_min_degree.min(u32::MAX as usize) as u32);
-        buf.put_u32_le(c.probe_ratio.min(u32::MAX as usize) as u32);
+        buf.put_u32_le(RETIRED_SLOT);
 
         // Graph fingerprint.
         buf.put_u64_le(self.graph.n);
@@ -323,22 +330,23 @@ impl Checkpoint {
         let sketch = SketchMode::from_code(((flags >> 11) & 0b11) as u8)
             .ok_or_else(|| corrupt(format!("unknown sketch-mode code in flags {flags:#x}")))?;
         let defaults = AnyScanConfig::default();
-        let (sketch_rows, sketch_bits, hub_max_hubs, hub_min_degree, probe_ratio) = if version >= 2
-        {
-            (
+        let (sketch_rows, sketch_bits, hub_max_hubs, hub_min_degree) = if version >= 2 {
+            let tuning = (
                 get_u32(&mut buf)? as usize,
                 get_u32(&mut buf)?,
                 get_u32(&mut buf)? as usize,
                 get_u32(&mut buf)? as usize,
-                get_u32(&mut buf)? as usize,
-            )
+            );
+            if get_u32(&mut buf)? == 0 {
+                return Err(corrupt("retired tuning slot must be positive"));
+            }
+            tuning
         } else {
             (
                 defaults.sketch_rows,
                 defaults.sketch_bits,
                 defaults.hub_max_hubs,
                 defaults.hub_min_degree,
-                defaults.probe_ratio,
             )
         };
         if sketch != SketchMode::Off {
@@ -351,9 +359,6 @@ impl Checkpoint {
             if !sketch::VALID_BITS.contains(&sketch_bits) {
                 return Err(corrupt(format!("invalid sketch bits {sketch_bits}")));
             }
-        }
-        if probe_ratio == 0 {
-            return Err(corrupt("probe ratio must be positive"));
         }
         let config = AnyScanConfig {
             params: ScanParams::new(epsilon, mu),
@@ -381,7 +386,6 @@ impl Checkpoint {
             sketch_bits,
             hub_max_hubs,
             hub_min_degree,
-            probe_ratio,
         };
 
         // Graph fingerprint.
@@ -896,8 +900,7 @@ mod tests {
         let config = toy_config()
             .with_sketch(SketchMode::Assist)
             .with_sketch_params(64, 4)
-            .with_hub_params(32, 8)
-            .with_probe_ratio(4);
+            .with_hub_params(32, 8);
         let mut algo = AnyScan::new(&g, config);
         algo.step();
         let back = Checkpoint::from_bytes(algo.checkpoint().to_bytes()).expect("v2 parses");
@@ -905,7 +908,6 @@ mod tests {
         assert_eq!(c.sketch, SketchMode::Assist);
         assert_eq!((c.sketch_rows, c.sketch_bits), (64, 4));
         assert_eq!((c.hub_max_hubs, c.hub_min_degree), (32, 8));
-        assert_eq!(c.probe_ratio, 4);
 
         // Resume through the sketch-assisted kernel and finish exactly.
         let mut resumed = back.restore(&g, 0).expect("restore").run();
@@ -940,7 +942,6 @@ mod tests {
         assert_eq!(c.sketch_bits, defaults.sketch_bits);
         assert_eq!(c.hub_max_hubs, defaults.hub_max_hubs);
         assert_eq!(c.hub_min_degree, defaults.hub_min_degree);
-        assert_eq!(c.probe_ratio, defaults.probe_ratio);
         assert!(back.restore(&g, 0).is_ok(), "v1 image must restore");
     }
 
@@ -964,5 +965,42 @@ mod tests {
         let err = Checkpoint::from_bytes(framed.into()).expect_err("bad code");
         assert_eq!(err.kind(), ErrorKind::Corrupt);
         assert!(err.to_string().contains("sketch-mode"), "typed message");
+    }
+
+    #[test]
+    fn retired_slot_is_written_as_sixteen_and_zero_is_corrupt() {
+        let g = toy_graph();
+        let mut algo = AnyScan::new(&g, toy_config());
+        algo.step();
+        let raw = algo.checkpoint().to_bytes();
+        let body = framing::strip_checksum_trailer(raw).unwrap();
+        let mut bytes = body.chunk().to_vec();
+        let slot_at = TUNING_TAIL_AT + 16;
+        let slot = u32::from_le_bytes(bytes[slot_at..slot_at + 4].try_into().unwrap());
+        assert_eq!(slot, RETIRED_SLOT);
+        assert_eq!(
+            RETIRED_SLOT, 16,
+            "the value every pre-removal default run wrote"
+        );
+
+        let reframe = |bytes: &[u8]| -> Vec<u8> {
+            let mut framed = BytesMut::new();
+            framed.put_slice(bytes);
+            framing::put_checksum_trailer(&mut framed);
+            framed.into()
+        };
+        // Any positive value (say, an image written with a non-default
+        // ratio before the knob was removed) is ignored.
+        bytes[slot_at..slot_at + 4].copy_from_slice(&4u32.to_le_bytes());
+        let back = Checkpoint::from_bytes(reframe(&bytes)).expect("positive slot parses");
+        assert!(back.restore(&g, 0).is_ok());
+        // Zero was never written and stays corrupt.
+        bytes[slot_at..slot_at + 4].copy_from_slice(&0u32.to_le_bytes());
+        let err = Checkpoint::from_bytes(reframe(&bytes)).expect_err("zero slot");
+        assert_eq!(err.kind(), ErrorKind::Corrupt);
+        assert!(
+            err.to_string().contains("retired tuning slot"),
+            "typed message"
+        );
     }
 }

@@ -3,7 +3,7 @@
 use anyscan_graph::ReorderMode;
 use anyscan_scan_common::sketch::{DEFAULT_BITS, DEFAULT_ROWS};
 use anyscan_scan_common::HubBitmaps;
-use anyscan_scan_common::{ScanParams, SketchMode, HASH_PROBE_MISMATCH_RATIO};
+use anyscan_scan_common::{ScanParams, SketchMode};
 
 /// Which shared disjoint-set implementation backs the parallel merges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,10 +86,6 @@ pub struct AnyScanConfig {
     /// Closed-degree floor for bitmap eligibility when `hub_bitmaps` is on
     /// (`--hub-min-degree`).
     pub hub_min_degree: usize,
-    /// Degree-mismatch ratio at which index-build σ rows divert to the hash
-    /// probe (the promoted `HASH_PROBE_MISMATCH_RATIO` crossover). Results
-    /// are bit-identical at any ratio.
-    pub probe_ratio: usize,
 }
 
 impl AnyScanConfig {
@@ -116,7 +112,6 @@ impl AnyScanConfig {
             sketch_bits: DEFAULT_BITS,
             hub_max_hubs: HubBitmaps::DEFAULT_MAX_HUBS,
             hub_min_degree: HubBitmaps::DEFAULT_MIN_DEGREE,
-            probe_ratio: HASH_PROBE_MISMATCH_RATIO,
         }
     }
 
@@ -197,13 +192,6 @@ impl AnyScanConfig {
         self.hub_min_degree = min_degree;
         self
     }
-
-    /// Builder-style merge-vs-probe crossover override.
-    pub fn with_probe_ratio(mut self, ratio: usize) -> Self {
-        assert!(ratio >= 1, "probe ratio must be positive");
-        self.probe_ratio = ratio;
-        self
-    }
 }
 
 impl Default for AnyScanConfig {
@@ -242,16 +230,13 @@ mod tests {
         assert_eq!((c.sketch_rows, c.sketch_bits), (128, 8));
         assert_eq!(c.hub_max_hubs, HubBitmaps::DEFAULT_MAX_HUBS);
         assert_eq!(c.hub_min_degree, HubBitmaps::DEFAULT_MIN_DEGREE);
-        assert_eq!(c.probe_ratio, HASH_PROBE_MISMATCH_RATIO);
         let c = c
             .with_sketch(SketchMode::Assist)
             .with_sketch_params(64, 4)
-            .with_hub_params(32, 8)
-            .with_probe_ratio(4);
+            .with_hub_params(32, 8);
         assert_eq!(c.sketch, SketchMode::Assist);
         assert_eq!((c.sketch_rows, c.sketch_bits), (64, 4));
         assert_eq!((c.hub_max_hubs, c.hub_min_degree), (32, 8));
-        assert_eq!(c.probe_ratio, 4);
     }
 
     #[test]

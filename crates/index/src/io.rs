@@ -392,7 +392,6 @@ mod tests {
             sketch_rows: 64,
             sketch_bits: 8,
             seed: 99,
-            ..Default::default()
         };
         let idx = SimilarityIndex::build_with_options(
             &g,

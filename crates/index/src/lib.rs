@@ -20,9 +20,10 @@
 //! index is `O(arcs)` space regardless of `μ_max`.
 //!
 //! [`SimilarityIndex::build`] runs on the persistent `anyscan-parallel`
-//! worker pool: σ is evaluated once per undirected edge (choosing hash-probe
-//! vs merge-join per the documented
-//! [`prefer_hash_probe`](anyscan_scan_common::prefer_hash_probe) crossover) and
+//! worker pool: σ is evaluated once per undirected edge by one dense row
+//! pass ([`sigma_row`](anyscan_scan_common::kernel::sigma_row)). The
+//! endpoint with the larger `(closed degree, id)` stamps its row and the
+//! shorter row is swept, so each edge costs `O(min(d_u, d_v))`. The value is
 //! mirrored to the opposite arc through the same symmetric arc indexing the
 //! edge-decision cache uses, then per-vertex and per-μ sorts run in
 //! parallel. [`SimilarityIndex::query`] unions similar core–core edges with
@@ -47,10 +48,11 @@ pub use repair::NeighborOrderPatch;
 use anyscan_dsu::DsuSeq;
 use anyscan_graph::{CsrGraph, ReorderMode, VertexId};
 use anyscan_parallel::{parallel_map_adaptive, parallel_map_with};
+use anyscan_scan_common::kernel::{scores_edge, sigma_row};
 use anyscan_scan_common::sketch::{DEFAULT_BITS, DEFAULT_ROWS};
 use anyscan_scan_common::{
-    AtomicEdgeCache, Clustering, NeighborIndex, NeighborhoodSketches, Role, RowScratch, ScanParams,
-    SketchMode, HASH_PROBE_MISMATCH_RATIO, NOISE,
+    AtomicEdgeCache, BatchScratch, Clustering, NeighborhoodSketches, Role, ScanParams, SketchMode,
+    NOISE,
 };
 use anyscan_telemetry::{Counter, Recorder, Telemetry};
 
@@ -69,9 +71,6 @@ pub struct IndexBuildOptions {
     pub sketch_bits: u32,
     /// Seed the signatures are derived from (recorded in the ASIX file).
     pub seed: u64,
-    /// Degree-mismatch ratio diverting exact σ rows to the hash probe
-    /// ([`prefer_hash_probe_with`](anyscan_scan_common::prefer_hash_probe_with)).
-    pub probe_ratio: usize,
 }
 
 impl Default for IndexBuildOptions {
@@ -81,7 +80,6 @@ impl Default for IndexBuildOptions {
             sketch_rows: DEFAULT_ROWS,
             sketch_bits: DEFAULT_BITS,
             seed: 0x5CA7,
-            probe_ratio: HASH_PROBE_MISMATCH_RATIO,
         }
     }
 }
@@ -140,8 +138,8 @@ impl SimilarityIndex {
         Self::build_with_options(g, threads, IndexBuildOptions::default(), telemetry)
     }
 
-    /// [`SimilarityIndex::build_traced`] with sketch and probe-crossover
-    /// tuning. Deterministic for any thread count in every mode.
+    /// [`SimilarityIndex::build_traced`] with sketch tuning. Deterministic
+    /// for any thread count in every mode.
     pub fn build_with_options(
         g: &CsrGraph,
         threads: usize,
@@ -168,86 +166,80 @@ impl SimilarityIndex {
             }
         };
 
-        // σ once per undirected edge: each vertex evaluates its higher-id
-        // neighbors, so no pair is computed twice and no slot is contended.
-        let upper: Vec<(Vec<f64>, u64)> = if opts.sketch == SketchMode::Approx {
+        // σ once per undirected edge, arc-aligned per vertex: each edge is
+        // scored by its owner (`scores_edge`), so no pair is computed twice
+        // and no slot is contended. The other arc holds NaN until the
+        // neighbor-order pass reads the owner's value through it.
+        let rows: Vec<Vec<f64>> = if opts.sketch == SketchMode::Approx {
             // Approx: the estimate *is* the σ — O(signature) per pair, the
             // adjacency lists are only read by the sketch builder above.
             let sk = sketches.as_ref().expect("approx build has sketches");
             let _s = telemetry.span("index_sigma");
             parallel_map_adaptive(threads, n, |u| {
                 let u = u as VertexId;
-                let row: Vec<f64> = g
-                    .neighbor_ids(u)
+                g.neighbor_ids(u)
                     .iter()
-                    .filter(|&&v| v > u)
-                    .map(|&v| sk.sigma_estimate(g, u, v))
-                    .collect();
-                (row, 0u64)
+                    .map(|&v| {
+                        if scores_edge(g, u, v) {
+                            sk.sigma_estimate(g, u, v)
+                        } else {
+                            f64::NAN
+                        }
+                    })
+                    .collect()
             })
         } else {
-            // Exact: one dense stamp of the row, one O(d_v) pass per
-            // neighbor; badly size-mismatched pairs divert to the hash probe
-            // at the configured crossover. The scratch is per worker, reused
-            // across its rows.
-            let nidx = NeighborIndex::with_threads(g, threads).with_probe_ratio(opts.probe_ratio);
+            // Exact: one dense stamp of the owner's row, one sweep of each
+            // shorter row. The scratch is per worker, reused across its rows.
             let _s = telemetry.span("index_sigma");
             parallel_map_with(
                 threads,
                 n,
-                || RowScratch::new(n),
+                || BatchScratch::new(n),
                 |scratch, u| {
-                    let mut row = Vec::new();
-                    let diverted = nidx.sigma_row(g, u as VertexId, scratch, &mut row);
-                    (row, diverted)
+                    let mut row = Vec::with_capacity(g.degree(u as VertexId));
+                    sigma_row(g, u as VertexId, scratch, &mut row);
+                    row
                 },
             )
         };
         telemetry.add(Counter::IndexSigmaEvals, g.num_edges());
-        if opts.sketch == SketchMode::Approx {
-            // Kernel-path attribution: every edge was decided by a sketch.
-            telemetry.add(Counter::SigmaPathSketch, g.num_edges());
+        // Kernel-path attribution: every edge was decided by a sketch or by
+        // the batched row pass.
+        let path = if opts.sketch == SketchMode::Approx {
+            Counter::SigmaPathSketch
         } else {
-            // Every edge is either a batched-row pass or a hash-probe
-            // diversion.
-            let probed: u64 = upper.iter().map(|(_, d)| d).sum();
-            telemetry.add(Counter::SigmaPathProbe, probed);
-            telemetry.add(Counter::SigmaPathBatched, g.num_edges() - probed);
-        }
+            Counter::SigmaPathBatched
+        };
+        telemetry.add(path, g.num_edges());
 
-        // Scatter into an arc-aligned scratch array (upper arcs only).
+        // Neighbor orders: copy the rows into one arc-aligned array, read
+        // each unowned (NaN) arc's σ from the owner's slot through the
+        // symmetric arc index (the same lookup the edge-decision cache stores
+        // through), then sort each closed neighborhood by descending σ.
         let mut sig_by_arc = vec![0.0f64; arcs];
         for u in g.vertices() {
-            let base = g.arc_range(u).start;
-            let mut it = upper[u as usize].0.iter();
-            for (i, &v) in g.neighbor_ids(u).iter().enumerate() {
-                if v > u {
-                    sig_by_arc[base + i] = *it.next().expect("one σ per upper arc");
-                }
-            }
+            sig_by_arc[g.arc_range(u)].copy_from_slice(&rows[u as usize]);
         }
-
-        // Neighbor orders: mirror the lower arcs through the symmetric arc
-        // index (the same lookup the edge-decision cache stores through),
-        // then sort each closed neighborhood by descending σ.
+        drop(rows);
         let sorted: Vec<Vec<(VertexId, f64)>> = {
             let _s = telemetry.span("index_neighbor_orders");
             parallel_map_adaptive(threads, n, |u| {
                 let u = u as VertexId;
-                let base = g.arc_range(u).start;
+                let row = &sig_by_arc[g.arc_range(u)];
                 let mut order: Vec<(VertexId, f64)> = g
                     .neighbor_ids(u)
                     .iter()
-                    .enumerate()
-                    .map(|(i, &v)| {
-                        let s = match v.cmp(&u) {
-                            std::cmp::Ordering::Equal => 1.0,
-                            std::cmp::Ordering::Greater => sig_by_arc[base + i],
-                            std::cmp::Ordering::Less => {
-                                let mirror = AtomicEdgeCache::arc_index(g, v, u)
-                                    .expect("CSR adjacency is symmetric");
-                                sig_by_arc[mirror]
-                            }
+                    .zip(row)
+                    .map(|(&v, &s)| {
+                        let s = if v == u {
+                            1.0
+                        } else if !s.is_nan() {
+                            s
+                        } else {
+                            let mirror = AtomicEdgeCache::arc_index(g, v, u)
+                                .expect("CSR adjacency is symmetric");
+                            sig_by_arc[mirror]
                         };
                         (v, s)
                     })
@@ -544,7 +536,7 @@ impl SimilarityIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anyscan_graph::gen::{erdos_renyi, WeightModel};
+    use anyscan_graph::gen::{erdos_renyi, rmat, RmatParams, WeightModel};
     use anyscan_graph::GraphBuilder;
     use anyscan_scan_common::kernel::sigma_raw;
     use anyscan_scan_common::verify::assert_scan_equivalent;
@@ -559,27 +551,41 @@ mod tests {
         .unwrap()
     }
 
+    /// R-MAT without relabeling puts its hubs at the lowest ids, so the row
+    /// pass's degree orientation and id order disagree on many edges: a
+    /// mirror that reads an edge from the wrong endpoint's slot shows up as
+    /// a σ that is not bit-equal to `sigma_raw`.
+    fn skewed_rmat() -> CsrGraph {
+        let mut rng = StdRng::seed_from_u64(3);
+        let g = rmat(&mut rng, &RmatParams::graph500(9, 8));
+        let hub = g.vertices().max_by_key(|&v| g.degree(v)).unwrap();
+        assert!(g.degree(hub) > 8 * 16, "the R-MAT input must have hubs");
+        g
+    }
+
     #[test]
     fn neighbor_orders_are_sorted_and_complete() {
         let mut rng = StdRng::seed_from_u64(11);
-        let g = erdos_renyi(&mut rng, 120, 900, WeightModel::uniform_default());
-        let idx = SimilarityIndex::build(&g, 2);
-        assert_eq!(idx.num_vertices(), 120);
-        assert_eq!(idx.num_arcs(), g.num_arcs());
-        for v in g.vertices() {
-            let (nbrs, sigs) = idx.neighbor_order(v);
-            assert_eq!(nbrs.len(), g.degree(v));
-            let mut expect: Vec<VertexId> = g.neighbor_ids(v).to_vec();
-            let mut got: Vec<VertexId> = nbrs.to_vec();
-            expect.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(expect, got, "neighbor order of {v} is a permutation");
-            for w in sigs.windows(2) {
-                assert!(w[0] >= w[1], "σ not descending at {v}");
-            }
-            for (&q, &s) in nbrs.iter().zip(sigs) {
-                let want = if q == v { 1.0 } else { sigma_raw(&g, v, q) };
-                assert_eq!(s.to_bits(), want.to_bits(), "σ({v},{q})");
+        let er = erdos_renyi(&mut rng, 120, 900, WeightModel::uniform_default());
+        for g in [er, skewed_rmat()] {
+            let idx = SimilarityIndex::build(&g, 2);
+            assert_eq!(idx.num_vertices(), g.num_vertices());
+            assert_eq!(idx.num_arcs(), g.num_arcs());
+            for v in g.vertices() {
+                let (nbrs, sigs) = idx.neighbor_order(v);
+                assert_eq!(nbrs.len(), g.degree(v));
+                let mut expect: Vec<VertexId> = g.neighbor_ids(v).to_vec();
+                let mut got: Vec<VertexId> = nbrs.to_vec();
+                expect.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(expect, got, "neighbor order of {v} is a permutation");
+                for w in sigs.windows(2) {
+                    assert!(w[0] >= w[1], "σ not descending at {v}");
+                }
+                for (&q, &s) in nbrs.iter().zip(sigs) {
+                    let want = if q == v { 1.0 } else { sigma_raw(&g, v, q) };
+                    assert_eq!(s.to_bits(), want.to_bits(), "σ({v},{q})");
+                }
             }
         }
     }
@@ -610,10 +616,17 @@ mod tests {
     #[test]
     fn build_is_deterministic_across_thread_counts() {
         let mut rng = StdRng::seed_from_u64(13);
-        let g = erdos_renyi(&mut rng, 200, 1_500, WeightModel::uniform_default());
-        let a = SimilarityIndex::build(&g, 1);
-        let b = SimilarityIndex::build(&g, 4);
-        assert_eq!(a, b);
+        let er = erdos_renyi(&mut rng, 200, 1_500, WeightModel::uniform_default());
+        for g in [er, skewed_rmat()] {
+            let one = SimilarityIndex::build(&g, 1);
+            for threads in [2, 8] {
+                assert_eq!(
+                    one,
+                    SimilarityIndex::build(&g, threads),
+                    "threads {threads}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -153,6 +153,16 @@ impl Default for RunConfig {
     }
 }
 
+impl RunConfig {
+    /// Whether the run can send a request that carries vertex ids — a
+    /// `Membership` lookup or an `ApplyUpdates` batch — and so needs the
+    /// daemon's vertex-id space. A run bounded to zero requests sends none.
+    pub fn sends_vertex_ids(&self) -> bool {
+        let sends_any = self.iterations != Some(0) && self.duration != Some(Duration::ZERO);
+        sends_any && (self.mix.lookup > 0 || self.mix.update > 0)
+    }
+}
+
 fn pick_request(config: &RunConfig, rng: &mut StdRng) -> Request {
     let mut roll = rng.gen_range(0..config.mix.total());
     if roll < config.mix.query {
@@ -331,6 +341,34 @@ mod tests {
         assert!(MixWeights::parse("query:0").is_err());
         assert!(MixWeights::parse("warp:1").is_err());
         assert!(MixWeights::parse("query").is_err());
+    }
+
+    #[test]
+    fn only_runs_that_can_send_vertex_ids_need_the_id_space() {
+        let mix = |query, lookup, update| MixWeights {
+            query,
+            lookup,
+            run: 0,
+            update,
+        };
+        let config = |mix, iterations, duration| RunConfig {
+            mix,
+            iterations,
+            duration,
+            ..RunConfig::default()
+        };
+        let secs = Some(Duration::from_secs(1));
+        // Lookups or updates in the mix, with requests to send: needed.
+        assert!(config(MixWeights::default(), None, secs).sends_vertex_ids());
+        assert!(config(mix(1, 1, 0), Some(10), None).sends_vertex_ids());
+        assert!(config(mix(0, 0, 1), None, None).sends_vertex_ids());
+        // A query-only mix never names a vertex.
+        assert!(!config(mix(1, 0, 0), Some(10), secs).sends_vertex_ids());
+        // A zero-request run (an `--iterations 0 --shutdown` drain) sends
+        // nothing, whatever its mix.
+        assert!(!config(MixWeights::default(), Some(0), None).sends_vertex_ids());
+        assert!(!config(mix(0, 1, 1), Some(0), secs).sends_vertex_ids());
+        assert!(!config(mix(0, 1, 1), None, Some(Duration::ZERO)).sends_vertex_ids());
     }
 
     #[test]

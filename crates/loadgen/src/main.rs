@@ -39,7 +39,8 @@ fn usage() {
   --eps E --mu M        query parameters (default 0.5 / 4)
   --run-deadline-ms N   per-request deadline on `run` requests (default 50)
   --run-max-blocks N    per-request block budget on `run` requests (default 0)
-  --vertices N          lookup id space; 0 = probe the daemon (default 0)
+  --vertices N          lookup id space; 0 = probe the daemon when the run
+                        sends lookups or updates (default 0)
   --seed N              RNG seed (default 42)
   --wait-ready-ms N     poll the daemon with pings for up to N ms first
   --check-labels FILE   fetch full labels once and write them in the CLI's
@@ -194,10 +195,11 @@ fn drive(flags: &Flags) -> Result<bool, String> {
         println!("daemon(s) at {target} ready");
     }
 
-    // Lookups need the vertex-id space; probe it (and optionally dump the
-    // full labels for a bit-identical diff against a serial `index query`).
+    // Lookups and updates need the vertex-id space; probe it only when the
+    // run can send one (and optionally dump the full labels for a
+    // bit-identical diff against a serial `index query`).
     let check_labels = flags.get_str("check-labels");
-    if config.vertices == 0 || check_labels.is_some() {
+    if (config.vertices == 0 && config.sends_vertex_ids()) || check_labels.is_some() {
         let labels = fetch_labels(&endpoints, config.eps, config.mu)?;
         if config.vertices == 0 {
             config.vertices = labels.labels.len() as u32;

@@ -70,12 +70,10 @@ pub struct SimStats {
     /// σ evaluations that ran a merge-join (classic or branchless). The
     /// kernel-side path counters (`path_merge`, `path_bitmap`,
     /// `path_batched`, `path_sketch`) partition `sigma_evals` exactly, so
-    /// traces show where σ time goes; `path_probe` is recorded externally
-    /// and counts separate work.
+    /// traces show where σ time goes.
     pub path_merge: u64,
-    /// σ evaluations diverted to the hash-probe path (recorded externally by
-    /// the index build via [`Kernel::record_probe_evals`]; the anytime
-    /// kernel itself never probes).
+    /// Always zero: no σ path hash-probes any more. The field stays because
+    /// the benchmark harness reads it as one term of the path partition.
     pub path_probe: u64,
     /// σ evaluations answered through a hub bitmap (word-wise AND or
     /// bit-test + weight gather).
@@ -151,7 +149,6 @@ pub struct Kernel<'g> {
     early_accepts: AtomicU64,
     early_rejects: AtomicU64,
     path_merge: AtomicU64,
-    path_probe: AtomicU64,
     path_bitmap: AtomicU64,
     path_batched: AtomicU64,
     path_sketch: AtomicU64,
@@ -200,7 +197,6 @@ impl<'g> Kernel<'g> {
             early_accepts: AtomicU64::new(0),
             early_rejects: AtomicU64::new(0),
             path_merge: AtomicU64::new(0),
-            path_probe: AtomicU64::new(0),
             path_bitmap: AtomicU64::new(0),
             path_batched: AtomicU64::new(0),
             path_sketch: AtomicU64::new(0),
@@ -325,7 +321,7 @@ impl<'g> Kernel<'g> {
             early_accepts: self.early_accepts.load(Ordering::Relaxed),
             early_rejects: self.early_rejects.load(Ordering::Relaxed),
             path_merge: self.path_merge.load(Ordering::Relaxed),
-            path_probe: self.path_probe.load(Ordering::Relaxed),
+            path_probe: 0,
             path_bitmap: self.path_bitmap.load(Ordering::Relaxed),
             path_batched: self.path_batched.load(Ordering::Relaxed),
             path_sketch: self.path_sketch.load(Ordering::Relaxed),
@@ -337,13 +333,6 @@ impl<'g> Kernel<'g> {
     /// baseline; kept here so all counters live in one place).
     pub fn record_shared_eval(&self) {
         self.shared_evals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` hash-probe σ evaluations performed outside the kernel
-    /// (the index build's skew diversion); kept here so the per-path
-    /// counters all live in one snapshot.
-    pub fn record_probe_evals(&self, n: u64) {
-        self.path_probe.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Exact weighted structural similarity
@@ -926,7 +915,8 @@ impl<'g> Kernel<'g> {
     }
 }
 
-/// Per-worker dense scratch for [`Kernel::eps_neighborhood_batched`].
+/// Per-worker dense scratch for [`Kernel::eps_neighborhood_batched`] and
+/// the index build's [`sigma_row`].
 ///
 /// Holds one *stamped* source row: `weight[r]` is `w_{p r}` for every
 /// neighbor `r` of the current source `p`, and `stamp[r]` equals the current
@@ -987,6 +977,64 @@ impl BatchScratch {
         } else {
             0.0
         }
+    }
+}
+
+/// Whether the edge `{u, v}` is scored from `u`'s row in [`sigma_row`]: the
+/// endpoint with the larger `(closed degree, id)` owns the edge. Its row is
+/// stamped and the other, shorter row is swept, so every edge costs
+/// `O(min(d_u, d_v))` and exactly one endpoint owns it (never a self-loop).
+#[inline]
+pub fn scores_edge(g: &CsrGraph, u: VertexId, v: VertexId) -> bool {
+    (g.degree(u), u) > (g.degree(v), v)
+}
+
+/// Fills `out` with one entry per arc of `u`, in adjacency (ascending id)
+/// order: σ(u, v) where `u` scores the edge (see [`scores_edge`]) and `NaN`
+/// on every other arc, `u`'s own included — the similarity-index build's
+/// one pass over the edges. The `NaN`s mark the arcs whose value lives in
+/// the other endpoint's row.
+///
+/// `u`'s closed neighborhood is stamped into `scratch` once, and only if
+/// `u` owns an edge; each owned `v` is then scored with one sweep of its
+/// own, shorter row. Common neighbors are visited in ascending id, as in the
+/// merge-join, and the sweep's extra `+0.0` terms cannot perturb a partial
+/// sum that is never `-0.0`, so every value is bit-identical to
+/// [`sigma_raw`].
+pub fn sigma_row(g: &CsrGraph, u: VertexId, scratch: &mut BatchScratch, out: &mut Vec<f64>) {
+    assert!(
+        scratch.stamp.len() >= g.num_vertices(),
+        "scratch sized for {} vertices, graph has {}",
+        scratch.stamp.len(),
+        g.num_vertices()
+    );
+    scratch.invalidate_row();
+    out.clear();
+    let norm_u = g.norm_sq(u);
+    for &v in g.neighbor_ids(u) {
+        if !scores_edge(g, u, v) {
+            out.push(f64::NAN);
+            continue;
+        }
+        let tag = scratch.stamp_row(g, u);
+        let nv = g.neighbor_ids(v);
+        let wv = g.neighbor_weights(v);
+        let mut num = 0.0f64;
+        // SAFETY: `j < nv.len()` bounds `nv`/`wv` (parallel CSR slices), and
+        // every neighbor id is `< num_vertices()`, which the assert above
+        // bounds against the scratch arrays.
+        unsafe {
+            for j in 0..nv.len() {
+                let r = *nv.get_unchecked(j) as usize;
+                let m = if *scratch.stamp.get_unchecked(r) == tag {
+                    *scratch.weight.get_unchecked(r)
+                } else {
+                    0.0
+                };
+                num += *wv.get_unchecked(j) * m;
+            }
+        }
+        out.push(num / (norm_u * g.norm_sq(v)).sqrt());
     }
 }
 
@@ -1260,8 +1308,56 @@ mod tests {
         b.build()
     }
 
-    /// Satellite fix regression: when the edge cache and the batched /
-    /// hash-probe-style row pass are both active, each adjacent decision
+    /// The index build's row pass scores every edge exactly once, from the
+    /// endpoint with the larger `(closed degree, id)`, bit-identical to the
+    /// merge-join. The low-id hubs make degree order and id order disagree.
+    #[test]
+    fn sigma_row_scores_each_edge_once_from_the_wider_endpoint() {
+        let g = hubby_random_graph(17);
+        let mut scratch = BatchScratch::new(g.num_vertices());
+        let mut scored = 0u64;
+        let mut hub_rows = 0usize;
+        let mut row = Vec::new();
+        for u in g.vertices() {
+            sigma_row(&g, u, &mut scratch, &mut row);
+            assert_eq!(row.len(), g.degree(u), "row of {u}");
+            for (&v, s) in g.neighbor_ids(u).iter().zip(&row) {
+                if !scores_edge(&g, u, v) {
+                    assert!(s.is_nan(), "({u},{v}) is scored from the other row");
+                    continue;
+                }
+                assert!(!scores_edge(&g, v, u), "({u},{v}) owned twice");
+                assert_eq!(s.to_bits(), sigma_raw(&g, u, v).to_bits(), "σ({u},{v})");
+                if v > u {
+                    hub_rows += 1;
+                }
+                scored += 1;
+            }
+        }
+        assert_eq!(scored, g.num_edges(), "every edge scored once");
+        assert!(hub_rows > 0, "some edge must be owned by its lower id");
+    }
+
+    /// A scratch whose tag wraps mid-build clears its stamps instead of
+    /// aliasing a stale row.
+    #[test]
+    fn sigma_row_survives_tag_wraparound() {
+        let g = hubby_random_graph(5);
+        let mut scratch = BatchScratch::new(g.num_vertices());
+        scratch.tag = u32::MAX - 3;
+        let mut row = Vec::new();
+        for u in g.vertices() {
+            sigma_row(&g, u, &mut scratch, &mut row);
+            for (&v, s) in g.neighbor_ids(u).iter().zip(&row) {
+                if scores_edge(&g, u, v) {
+                    assert_eq!(s.to_bits(), sigma_raw(&g, u, v).to_bits(), "σ({u},{v})");
+                }
+            }
+        }
+    }
+
+    /// Satellite fix regression: when the edge cache and the batched
+    /// dense-row pass are both active, each adjacent decision
     /// must count exactly one of {cache_hit, cache_miss}, and each computed
     /// decision exactly one of {lemma5_filtered, sigma_evals} — the batched
     /// path must not re-route cache-answered pairs through a second
@@ -1323,8 +1419,8 @@ mod tests {
         );
     }
 
-    /// The kernel-side path counters partition sigma_evals exactly, and
-    /// probe evaluations recorded externally land in their own counter.
+    /// The kernel-side path counters partition sigma_evals exactly; the
+    /// retired probe counter stays zero.
     #[test]
     fn path_counters_partition_sigma_evals() {
         let g = hubby_random_graph(9);
@@ -1337,7 +1433,6 @@ mod tests {
         for p in g.vertices().skip(20) {
             k.eps_neighborhood_batched(p, &mut scratch, &mut out);
         }
-        k.record_probe_evals(5);
         let s = k.stats();
         assert!(s.path_bitmap > 0, "hub pairs must take the bitmap path");
         assert!(
@@ -1345,7 +1440,7 @@ mod tests {
             "range queries must take the batched path"
         );
         assert_eq!(s.path_merge + s.path_bitmap + s.path_batched, s.sigma_evals);
-        assert_eq!(s.path_probe, 5);
+        assert_eq!(s.path_probe, 0);
         // A kernel without the locality bundle runs everything as merges.
         let plain = Kernel::new(&g, ScanParams::new(0.4, 3));
         for p in g.vertices().take(10) {
@@ -1583,9 +1678,9 @@ mod tests {
             prop_assert!(s.sigma_evals + s.lemma5_filtered <= g.num_edges());
         }
 
-        /// The batched dense-row σ and the hub-bitmap σ are bit-identical
-        /// to `sigma_raw` on arbitrary random weighted graphs (ISSUE 5
-        /// acceptance: all σ fast paths proptest-proven bit-identical).
+        /// The batched dense-row σ, the hub-bitmap σ and the index build's
+        /// oriented row pass are all bit-identical to `sigma_raw` on
+        /// arbitrary random weighted graphs.
         #[test]
         fn fast_path_sigma_bit_identical_to_sigma_raw(
             edges in proptest::collection::vec((0u32..16, 0u32..16, 0.05f64..1.0), 1..90),
@@ -1605,6 +1700,20 @@ mod tests {
                     );
                     if let Some(s) = k.sigma_bitmap(u, v) {
                         prop_assert_eq!(s.to_bits(), expect, "bitmap σ({}, {})", u, v);
+                    }
+                }
+                let mut row = Vec::new();
+                sigma_row(&g, u, &mut scratch, &mut row);
+                prop_assert_eq!(row.len(), g.degree(u));
+                for (&v, s) in g.neighbor_ids(u).iter().zip(&row) {
+                    if scores_edge(&g, u, v) {
+                        prop_assert_eq!(
+                            s.to_bits(),
+                            sigma_raw(&g, u, v).to_bits(),
+                            "row σ({}, {})", u, v
+                        );
+                    } else {
+                        prop_assert!(s.is_nan(), "row ({}, {}) not owned", u, v);
                     }
                 }
             }

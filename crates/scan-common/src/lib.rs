@@ -21,7 +21,6 @@
 
 pub mod atomic_cache;
 pub mod hubs;
-pub mod index;
 pub mod kernel;
 pub mod params;
 pub mod result;
@@ -30,9 +29,6 @@ pub mod verify;
 
 pub use atomic_cache::AtomicEdgeCache;
 pub use hubs::HubBitmaps;
-pub use index::{
-    prefer_hash_probe, prefer_hash_probe_with, NeighborIndex, RowScratch, HASH_PROBE_MISMATCH_RATIO,
-};
 pub use kernel::{BatchScratch, Kernel, SimStats};
 pub use params::ScanParams;
 pub use result::{Clustering, Role, RoleCounts, NOISE, UNCLASSIFIED};

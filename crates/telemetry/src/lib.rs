@@ -108,7 +108,9 @@ pub enum Counter {
     FaultsInjected,
     /// σ evaluations that took the classic (or branchless) merge-join path.
     SigmaPathMerge,
-    /// σ evaluations diverted to the hash probe (size-mismatched pairs).
+    /// Always zero: no σ path hash-probes any more. Kept so traces and the
+    /// benchmark harness, which sums it into the path partition, still
+    /// find the `sigma_path_probe` slot.
     SigmaPathProbe,
     /// σ evaluations decided through a hub bitmap (word-wise AND or
     /// bit-test + weight gather).
