@@ -1,12 +1,12 @@
 //! Ablations of anySCAN's design choices (DESIGN.md §6): the Lemma-5
 //! filter, the Step-2/3 sorting heuristics, skipping Step 2 entirely, the
-//! role-resolution pass, and the shared-DSU implementation.
+//! role-resolution pass, and the baseline at 4 threads.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use anyscan::{AnyScan, AnyScanConfig, DsuKind};
+use anyscan::{AnyScan, AnyScanConfig};
 use anyscan_graph::gen::{lfr, LfrParams};
 use anyscan_scan_common::ScanParams;
 
@@ -46,11 +46,6 @@ fn bench_ablations(c: &mut Criterion) {
     group.bench_function("no_role_resolution", |b| {
         let mut cfg = base;
         cfg.resolve_roles = false;
-        b.iter(|| run(cfg))
-    });
-    group.bench_function("locked_dsu_4_threads", |b| {
-        let mut cfg = base.with_threads(4);
-        cfg.dsu = DsuKind::Locked;
         b.iter(|| run(cfg))
     });
     group.bench_function("atomic_dsu_4_threads", |b| {

@@ -1,11 +1,11 @@
-//! Disjoint-set variants: sequential vs mutex-protected vs lock-free, under
-//! the union/find mix anySCAN produces.
+//! Disjoint-set variants: sequential vs lock-free, under the union/find mix
+//! anySCAN produces.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use anyscan_dsu::{AtomicDsu, DsuSeq, LockedDsu, SharedDsu};
+use anyscan_dsu::{AtomicDsu, DsuSeq};
 
 fn op_mix(n: u32, ops: usize, seed: u64) -> Vec<(bool, u32, u32)> {
     // ~20% unions, 80% finds — anySCAN is find-heavy (pruning checks).
@@ -24,20 +24,6 @@ fn bench_dsu(c: &mut Criterion) {
     group.bench_function("sequential", |b| {
         b.iter(|| {
             let mut d = DsuSeq::new(n as usize);
-            for &(is_union, x, y) in &ops {
-                if is_union {
-                    d.union(x, y);
-                } else {
-                    black_box(d.find(x));
-                }
-            }
-            d.num_sets()
-        })
-    });
-
-    group.bench_function("locked_single_thread", |b| {
-        b.iter(|| {
-            let d = LockedDsu::new(n as usize);
             for &(is_union, x, y) in &ops {
                 if is_union {
                     d.union(x, y);

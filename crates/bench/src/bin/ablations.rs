@@ -10,11 +10,11 @@
 //!   at higher cost);
 //! * `no-roles` — the role-resolution finish pass off (labels stay exact;
 //!   roles of pruned vertices stay heuristic);
-//! * `locked-dsu` — `omp critical`-style mutex DSU instead of the
-//!   lock-free one (4 threads, where it matters);
+//! * `atomic-dsu(4t)` — the baseline at 4 threads (the lock-free DSU
+//!   replaces the paper's `omp critical` around `Union`);
 //! * block sizes — the α=β sweep appears in fig8/fig13.
 
-use anyscan::{AnyScan, AnyScanConfig, DsuKind};
+use anyscan::{AnyScan, AnyScanConfig};
 use anyscan_bench::table::secs;
 use anyscan_bench::{load_dataset, time, HarnessArgs, Table};
 use anyscan_graph::gen::{Dataset, DatasetId};
@@ -62,11 +62,6 @@ fn main() {
             name: "atomic-dsu(4t)",
             threads: 4,
             tweak: |_| {},
-        },
-        Variant {
-            name: "locked-dsu(4t)",
-            threads: 4,
-            tweak: |c| c.dsu = DsuKind::Locked,
         },
     ];
 

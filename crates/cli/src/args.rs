@@ -3,17 +3,93 @@
 
 use std::collections::HashMap;
 
+/// Flags of the graph loader (`--input FILE` or a generated `--dataset`),
+/// read by every command that loads a graph.
+const GRAPH_FLAGS: &str = "input dataset scale seed";
+
+/// Every command (index subcommands as `index build` / `index query`),
+/// whether it loads a graph (and so also reads [`GRAPH_FLAGS`]), and the
+/// other flags it reads. A flag outside this table is rejected before any
+/// work runs.
+const COMMAND_FLAGS: &[(&str, bool, &str)] = &[
+    ("stats", true, ""),
+    (
+        "generate",
+        false,
+        "kind n seed unweighted avg-degree mixing communities p-in p-out \
+         edge-factor out",
+    ),
+    (
+        "cluster",
+        true,
+        "eps mu algo threads block reorder labels-out trace-json no-opt sketch \
+         sketch-rows sketch-bits hub-cap hub-min-degree deadline-ms max-blocks \
+         checkpoint checkpoint-every",
+    ),
+    (
+        "resume",
+        true,
+        "checkpoint threads labels-out trace-json deadline-ms max-blocks checkpoint-every",
+    ),
+    ("explore", true, "eps mu threads reorder"),
+    ("hierarchy", true, "mu eps threads top reorder"),
+    (
+        "interactive",
+        true,
+        "eps mu checkpoint-ms threads trace-json labels-out reorder sketch \
+         sketch-rows sketch-bits hub-cap hub-min-degree index deadline-ms \
+         max-blocks checkpoint",
+    ),
+    (
+        "index build",
+        true,
+        "out threads trace-json reorder sketch sketch-rows sketch-bits",
+    ),
+    (
+        "index query",
+        true,
+        "index eps mu labels-out trace-json sketch",
+    ),
+    (
+        "serve",
+        true,
+        "index listen socket threads max-inflight queue-depth cache-entries \
+         conn-timeout-ms dynamic update-log replica-of promote trace-json",
+    ),
+    ("probe", false, "connect socket timeout-ms"),
+    ("promote", false, "connect socket"),
+    (
+        "mutate",
+        true,
+        "trace-out updates batch update-seed threads out trace-json",
+    ),
+    (
+        "replay",
+        true,
+        "trace batch threads eps mu labels-out trace-json",
+    ),
+];
+
+/// Whether `command` reads `--flag`; `None` for an unknown command.
+fn accepts(command: &str, flag: &str) -> Option<bool> {
+    let &(_, loads_graph, own) = COMMAND_FLAGS.iter().find(|(name, ..)| *name == command)?;
+    let listed = |flags: &str| flags.split_whitespace().any(|f| f == flag);
+    Some(listed(own) || (loads_graph && listed(GRAPH_FLAGS)))
+}
+
 /// Parsed `--key value` options (plus boolean switches).
 #[derive(Debug, Default)]
 pub struct Options {
     values: HashMap<String, String>,
     switches: Vec<String>,
+    /// Every flag given, in argument order.
+    given: Vec<String>,
 }
 
 impl Options {
     /// Parses a `--key value | --switch` token stream.
     pub fn parse(argv: &[String]) -> Result<Options, String> {
-        const SWITCHES: &[&str] = &["unweighted", "no-opt", "quiet", "dynamic", "promote"];
+        const SWITCHES: &[&str] = &["unweighted", "no-opt", "dynamic", "promote"];
         let mut out = Options::default();
         let mut i = 0;
         while i < argv.len() {
@@ -21,6 +97,7 @@ impl Options {
             let Some(key) = tok.strip_prefix("--") else {
                 return Err(format!("expected a --flag, got {tok:?}"));
             };
+            out.given.push(key.to_string());
             if SWITCHES.contains(&key) {
                 out.switches.push(key.to_string());
                 i += 1;
@@ -34,6 +111,18 @@ impl Options {
             i += 2;
         }
         Ok(out)
+    }
+
+    /// Rejects the first flag `command` does not read, so a mistyped or
+    /// retired flag fails instead of silently running with a default.
+    /// Unknown commands pass through; dispatch reports them.
+    pub fn check_flags(&self, command: &str) -> Result<(), String> {
+        for flag in &self.given {
+            if accepts(command, flag) == Some(false) {
+                return Err(format!("unknown flag --{flag} for {command}"));
+            }
+        }
+        Ok(())
     }
 
     /// A required typed option.
@@ -84,8 +173,10 @@ impl Options {
 }
 
 pub fn print_usage() {
-    eprintln!(
-        "anyscan — structural graph clustering (SCAN family / anySCAN)
+    eprintln!("{USAGE}");
+}
+
+const USAGE: &str = "anyscan — structural graph clustering (SCAN family / anySCAN)
 
 commands:
   stats        --input FILE | --dataset ID [--scale F] [--seed N]
@@ -96,7 +187,7 @@ commands:
                [--algo anyscan|scan|scan-b|pscan|scan++] [--threads T]
                [--block B] [--reorder none|degree|bfs] [--labels-out FILE]
                [--trace-json FILE] [--no-opt]
-               [--sketch off|assist|approx] [--sketch-rows R] [--sketch-bits B]
+               [--sketch off|approx] [--sketch-rows R] [--sketch-bits B]
                [--hub-cap N] [--hub-min-degree D]
                [--deadline-ms MS] [--max-blocks N]
                [--checkpoint FILE.asck] [--checkpoint-every N]
@@ -110,12 +201,12 @@ commands:
   interactive  --input FILE | --dataset ID  --eps E --mu M
                [--checkpoint-ms MS] [--threads T] [--trace-json FILE]
                [--reorder none|degree|bfs]
-               [--sketch off|assist|approx] [--sketch-rows R] [--sketch-bits B]
+               [--sketch off|approx] [--sketch-rows R] [--sketch-bits B]
                [--index FILE.asix]   (answer from a prebuilt index instantly)
                [--deadline-ms MS] [--max-blocks N] [--checkpoint FILE.asck]
   index build  --input FILE | --dataset ID  --out FILE.asix
                [--threads T] [--trace-json FILE] [--reorder none|degree|bfs]
-               [--sketch off|assist|approx] [--sketch-rows R] [--sketch-bits B]
+               [--sketch off|approx] [--sketch-rows R] [--sketch-bits B]
   index query  --input FILE | --dataset ID  --index FILE.asix
                --eps a,b,c --mu a,b,c [--labels-out FILE] [--trace-json FILE]
                [--sketch approx]   (answer from the .asix file alone, no graph)
@@ -151,7 +242,7 @@ concurrent readers — answers stay bit-identical to a from-scratch index on
 the mutated graph (DESIGN.md §13). --update-log makes mutations durable
 (ASUL format; replayed on restart). `mutate` generates and applies a random
 update trace; `replay` re-applies a trace against its base graph. Dynamic
-mode requires an index built with --reorder none and --sketch off|assist
+mode requires an index built with --reorder none and --sketch off
 
 serve --replica-of makes a dynamic daemon a read-only replica: it
 subscribes to the primary's committed ASUL stream, serves reads at its
@@ -173,14 +264,11 @@ before clustering; all output stays in original vertex ids. `resume` and
 `index query` re-apply the mode recorded in the .asck / .asix file
 automatically, so the flag is only given at `cluster` / `index build` time
 
---sketch builds b-bit MinHash signatures of every closed neighborhood:
-`assist` keeps the clustering bit-identical (sketches only order and route
-work among the exact kernels); `approx` lets the estimate decide, with
---sketch-rows R (default 128) and --sketch-bits 1|2|4|8|16 (default 8) as
-the error knob. --hub-cap / --hub-min-degree tune the hub-bitmap layer
-(exact at any setting)"
-    );
-}
+--sketch approx builds b-bit MinHash signatures of every closed
+neighborhood and lets the estimate decide, with --sketch-rows R (default
+128) and --sketch-bits 1|2|4|8|16 (default 8) as the error knob; `off`
+(default) keeps every decision exact. --hub-cap / --hub-min-degree tune the hub-bitmap layer
+(exact at any setting)";
 
 #[cfg(test)]
 mod tests {
@@ -205,6 +293,72 @@ mod tests {
         assert_eq!(o.get_or::<usize>("mu", 5).unwrap(), 5);
         assert_eq!(o.get_list::<f64>("eps").unwrap(), Some(vec![0.1, 0.2, 0.3]));
         assert_eq!(o.get_list::<f64>("nope").unwrap(), None);
+    }
+
+    #[test]
+    fn rejects_flags_a_command_does_not_read() {
+        let err = opts(&["--input", "g.bin", "--out", "g.asix", "--probe-ratio", "0"])
+            .check_flags("index build")
+            .unwrap_err();
+        assert_eq!(err, "unknown flag --probe-ratio for index build");
+        let err = opts(&["--eps", "0.5", "--mu", "4", "--thread", "2"])
+            .check_flags("cluster")
+            .unwrap_err();
+        assert_eq!(err, "unknown flag --thread for cluster");
+        // Switches are checked too, and a flag of one command is unknown to
+        // another.
+        assert!(opts(&["--dynamic"]).check_flags("cluster").is_err());
+        assert!(opts(&["--threads", "2"]).check_flags("probe").is_err());
+        assert!(opts(&["--threads", "2", "--no-opt"])
+            .check_flags("cluster")
+            .is_ok());
+        // Unknown commands are left to dispatch.
+        assert!(opts(&["--bogus", "1"]).check_flags("nope").is_ok());
+    }
+
+    /// Each command's block of the usage text, as (command, flags listed).
+    fn usage_blocks() -> Vec<(String, Vec<String>)> {
+        let section = USAGE
+            .split("commands:\n")
+            .nth(1)
+            .and_then(|rest| rest.split("\n\n").next())
+            .expect("usage has a commands section");
+        let mut blocks: Vec<(String, Vec<String>)> = Vec::new();
+        for line in section.lines() {
+            if !line.starts_with("   ") {
+                let body = line.trim_start();
+                let name = body.split("  ").next().unwrap().trim();
+                blocks.push((name.to_string(), Vec::new()));
+            }
+            let flags = &mut blocks.last_mut().expect("block header first").1;
+            for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if let Some(flag) = word.strip_prefix("--") {
+                    flags.push(flag.to_string());
+                }
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn every_flag_in_the_usage_is_accepted_by_its_command() {
+        let blocks = usage_blocks();
+        let listed: Vec<&str> = blocks.iter().map(|(name, _)| name.as_str()).collect();
+        let declared: Vec<&str> = COMMAND_FLAGS.iter().map(|(name, ..)| *name).collect();
+        assert_eq!(
+            listed, declared,
+            "usage and flag table list the same commands"
+        );
+        for (command, flags) in &blocks {
+            assert!(!flags.is_empty(), "{command}: no flags parsed");
+            for flag in flags {
+                assert_eq!(
+                    accepts(command, flag),
+                    Some(true),
+                    "usage lists --{flag} for {command}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn reorder_mode(opts: &Options) -> Result<ReorderMode, String> {
     }
 }
 
-/// `--sketch off|assist|approx` (default off).
+/// `--sketch off|approx` (default off).
 fn sketch_mode(opts: &Options) -> Result<SketchMode, String> {
     match opts.get_str("sketch") {
         None => Ok(SketchMode::Off),
@@ -403,7 +403,7 @@ pub fn resume(opts: &Options) -> CmdResult {
     let ck = Checkpoint::load(Path::new(ckpt_path)).map_err(|e| e.to_string())?;
     // The checkpoint records the reorder mode the run was started with;
     // re-apply it (deterministic) so the saved state lines up with the
-    // relabeled graph. A `--reorder` flag here is ignored.
+    // relabeled graph. `resume` takes no `--reorder` flag.
     let (g, perm) = apply_reorder(load_graph(opts)?, ck.config(0).reorder);
     let params = ck.params();
     let threads: usize = opts.get_or("threads", 0)?; // 0 = keep checkpointed count

@@ -31,7 +31,13 @@ fn main() {
     } else {
         None
     };
-    let opts = match args::Options::parse(&argv) {
+    // Every flag must be one the command reads: a typo or a retired flag is
+    // a usage error before any work runs, not a silently ignored option.
+    let command = match &sub {
+        Some(sub) => format!("{cmd} {sub}"),
+        None => cmd.clone(),
+    };
+    let opts = match args::Options::parse(&argv).and_then(|o| o.check_flags(&command).map(|()| o)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n");

@@ -26,6 +26,17 @@
 //! | work         | len u64, u32[]; aux len u64, u64[] (`u64::MAX` = none)     |
 //! | trailer      | FNV-1a 64 checksum of everything above                     |
 //!
+//! Flags word: bits 0–3 optimizations, sort Step 2, sort Step 3, skip Step
+//! 2; bits 5–6 edge cache, role resolution; bits 7–8 reorder-mode code;
+//! bits 11–12 sketch-mode code. Three bits are retired but keep their
+//! place, so the layout and version stay unchanged: bit 4 once selected a
+//! mutex-protected DSU (written as 0), and bits 9 and 10 once toggled hub
+//! bitmaps and batched Step-1 range queries (written as 1, see
+//! [`ALWAYS_ON_FLAGS`]). Readers ignore all three — the alternatives were
+//! bit-identical to today's single path. Sketch code 1 belonged to the
+//! retired assist mode, which was bit-identical to off; it decodes as
+//! [`SketchMode::Off`], with its rows and bits still validated.
+//!
 //! Files are written atomically: temp file in the same directory, `fsync`,
 //! rename over the target — a crash mid-write never corrupts an existing
 //! checkpoint.
@@ -35,15 +46,15 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-use anyscan_dsu::{AtomicDsu, DsuCounters, DsuSeq, LockedDsu, SharedDsu};
+use anyscan_dsu::{AtomicDsu, DsuCounters, DsuSeq};
 use anyscan_graph::io::framing::{self, Fnv64};
 use anyscan_graph::{CsrGraph, ReorderMode, VertexId};
 use anyscan_scan_common::sketch::{self, SketchMode};
 use anyscan_scan_common::ScanParams;
 use anyscan_telemetry::Telemetry;
 
-use crate::config::{AnyScanConfig, DsuKind};
-use crate::driver::{AnyScan, Phase, SharedDsuImpl, UnionBreakdown};
+use crate::config::AnyScanConfig;
+use crate::driver::{AnyScan, Phase, UnionBreakdown};
 use crate::error::{AnyScanError, ErrorKind};
 use crate::state::StateTable;
 use crate::supernode::{SuperNode, SuperNodes};
@@ -64,6 +75,10 @@ pub const VERSION: u32 = 2;
 /// wrote, and readers still reject 0 as corrupt (as the old decoder did)
 /// but otherwise ignore it, so older images still restore.
 pub const RETIRED_SLOT: u32 = 16;
+/// Flag bits 9 and 10, which once toggled hub bitmaps and batched Step-1
+/// range queries. Both paths are now always taken, so writers set both
+/// bits, as every default run did, and readers ignore them.
+pub const ALWAYS_ON_FLAGS: u32 = (1 << 9) | (1 << 10);
 /// Oldest format version [`Checkpoint::from_bytes`] still reads.
 pub const MIN_VERSION: u32 = 1;
 
@@ -190,7 +205,7 @@ impl Checkpoint {
 
     // ---- serialization ----------------------------------------------------
 
-    /// Serializes to the `ASCK` v1 byte image (checksum trailer included).
+    /// Serializes to the `ASCK` v2 byte image (checksum trailer included).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = BytesMut::with_capacity(64 + self.states.len() * 8);
         framing::put_header(&mut buf, MAGIC, VERSION);
@@ -209,7 +224,7 @@ impl Checkpoint {
             c.sort_step2,
             c.sort_step3,
             c.skip_step2,
-            c.dsu == DsuKind::Locked,
+            false, // bit 4: retired DSU selector
             c.edge_cache,
             c.resolve_roles,
         ]
@@ -220,16 +235,9 @@ impl Checkpoint {
                 flags |= 1 << bit;
             }
         }
-        // Bits 7–8: reorder-mode code; bit 9: hub bitmaps; bit 10: batched
-        // Step 1. Pre-existing checkpoints have all three zero, which decodes
-        // as (None, off, off) — exactly how those runs were executed.
+        // Bits 7–8: reorder-mode code.
         flags |= u32::from(c.reorder.code()) << 7;
-        if c.hub_bitmaps {
-            flags |= 1 << 9;
-        }
-        if c.batched_step1 {
-            flags |= 1 << 10;
-        }
+        flags |= ALWAYS_ON_FLAGS;
         // Bits 11–12: sketch-mode code. v1 checkpoints have both zero,
         // which decodes as Off — how those runs were executed.
         flags |= u32::from(c.sketch.code()) << 11;
@@ -327,7 +335,8 @@ impl Checkpoint {
         if alpha == 0 || beta == 0 || threads == 0 {
             return Err(corrupt("alpha, beta, and threads must be positive"));
         }
-        let sketch = SketchMode::from_code(((flags >> 11) & 0b11) as u8)
+        let sketch_code = ((flags >> 11) & 0b11) as u8;
+        let sketch = SketchMode::from_code(sketch_code)
             .ok_or_else(|| corrupt(format!("unknown sketch-mode code in flags {flags:#x}")))?;
         let defaults = AnyScanConfig::default();
         let (sketch_rows, sketch_bits, hub_max_hubs, hub_min_degree) = if version >= 2 {
@@ -349,7 +358,7 @@ impl Checkpoint {
                 defaults.hub_min_degree,
             )
         };
-        if sketch != SketchMode::Off {
+        if sketch_code != 0 {
             if sketch_rows == 0 || sketch_rows > sketch::MAX_ROWS {
                 return Err(corrupt(format!(
                     "sketch rows {sketch_rows} outside 1..={}",
@@ -370,17 +379,10 @@ impl Checkpoint {
             sort_step2: flags & (1 << 1) != 0,
             sort_step3: flags & (1 << 2) != 0,
             skip_step2: flags & (1 << 3) != 0,
-            dsu: if flags & (1 << 4) != 0 {
-                DsuKind::Locked
-            } else {
-                DsuKind::Atomic
-            },
             edge_cache: flags & (1 << 5) != 0,
             resolve_roles: flags & (1 << 6) != 0,
             reorder: ReorderMode::from_code(((flags >> 7) & 0b11) as u8)
                 .ok_or_else(|| corrupt(format!("unknown reorder code in flags {flags:#x}")))?,
-            hub_bitmaps: flags & (1 << 9) != 0,
-            batched_step1: flags & (1 << 10) != 0,
             sketch,
             sketch_rows,
             sketch_bits,
@@ -669,14 +671,9 @@ impl Checkpoint {
         let seq = DsuSeq::from_parts(self.dsu_roots.clone(), self.dsu_counters)
             .map_err(|m| AnyScanError::new(ErrorKind::Checkpoint, m))?;
         if self.dsu_shared {
-            // Rebuild the variant directly (not SharedDsuImpl::from_seq,
-            // whose Locked arm deliberately resets counters at the Step-1
-            // handoff): a resumed run continues the checkpointed tallies.
+            // A resumed run continues the checkpointed tallies.
             algo.dsu_seq = None;
-            algo.dsu_shared = Some(match algo.config.dsu {
-                DsuKind::Atomic => SharedDsuImpl::Atomic(AtomicDsu::from_seq(&seq)),
-                DsuKind::Locked => SharedDsuImpl::Locked(LockedDsu::from_seq(seq)),
-            });
+            algo.dsu_shared = Some(AtomicDsu::from_seq(&seq));
         } else {
             algo.dsu_seq = Some(seq);
             algo.dsu_shared = None;
@@ -894,22 +891,39 @@ mod tests {
     /// plus ε f64, four u64 block params, the seed u64, and the flags u32.
     const TUNING_TAIL_AT: usize = 8 + 8 + 8 * 4 + 8 + 4;
 
+    /// An image without its checksum trailer, ready for hand edits.
+    fn body_of(raw: Vec<u8>) -> Vec<u8> {
+        framing::strip_checksum_trailer(raw)
+            .unwrap()
+            .chunk()
+            .to_vec()
+    }
+
+    /// Re-stamps the checksum trailer over a hand-edited body.
+    fn reframe(body: &[u8]) -> Vec<u8> {
+        let mut framed = BytesMut::new();
+        framed.put_slice(body);
+        framing::put_checksum_trailer(&mut framed);
+        framed.into()
+    }
+
     #[test]
     fn v2_roundtrips_sketch_and_tuning_config() {
         let g = toy_graph();
         let config = toy_config()
-            .with_sketch(SketchMode::Assist)
+            .with_sketch(SketchMode::Approx)
             .with_sketch_params(64, 4)
             .with_hub_params(32, 8);
         let mut algo = AnyScan::new(&g, config);
         algo.step();
         let back = Checkpoint::from_bytes(algo.checkpoint().to_bytes()).expect("v2 parses");
         let c = back.config(0);
-        assert_eq!(c.sketch, SketchMode::Assist);
+        assert_eq!(c.sketch, SketchMode::Approx);
         assert_eq!((c.sketch_rows, c.sketch_bits), (64, 4));
         assert_eq!((c.hub_max_hubs, c.hub_min_degree), (32, 8));
 
-        // Resume through the sketch-assisted kernel and finish exactly.
+        // Resume through the sketch-deciding kernel: the rebuilt signatures
+        // are identical, so the run finishes as an uninterrupted one does.
         let mut resumed = back.restore(&g, 0).expect("restore").run();
         let mut expected = AnyScan::new(&g, config).run();
         resumed.canonicalize();
@@ -926,15 +940,11 @@ mod tests {
 
         // Hand-downgrade: drop the tuning tail, rewrite the version word,
         // and re-stamp the checksum trailer.
-        let body = framing::strip_checksum_trailer(v2).unwrap();
-        let mut v1: Vec<u8> = body.chunk().to_vec();
+        let mut v1 = body_of(v2);
         v1.drain(TUNING_TAIL_AT..TUNING_TAIL_AT + 20);
         v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let mut framed = BytesMut::new();
-        framed.put_slice(&v1);
-        framing::put_checksum_trailer(&mut framed);
 
-        let back = Checkpoint::from_bytes(framed.into()).expect("v1 parses");
+        let back = Checkpoint::from_bytes(reframe(&v1)).expect("v1 parses");
         let defaults = AnyScanConfig::default();
         let c = back.config(0);
         assert_eq!(c.sketch, SketchMode::Off);
@@ -945,24 +955,90 @@ mod tests {
         assert!(back.restore(&g, 0).is_ok(), "v1 image must restore");
     }
 
+    /// Flags word of a default run's image: optimizations, both sorts,
+    /// edge cache and role resolution (bits 0–2, 5, 6) plus the two
+    /// always-on bits 9 and 10 — the same word the three-path driver wrote.
+    const DEFAULT_FLAGS: u32 = 0b110_0110_0111;
+
+    /// The flags word sits right before the tuning tail.
+    const FLAGS_AT: usize = TUNING_TAIL_AT - 4;
+
+    fn flags_of(raw: &[u8]) -> u32 {
+        u32::from_le_bytes(raw[FLAGS_AT..FLAGS_AT + 4].try_into().unwrap())
+    }
+
+    /// Rewrites the flags word of an image and re-stamps the trailer.
+    fn with_flags(raw: Vec<u8>, edit: impl Fn(u32) -> u32) -> Vec<u8> {
+        let mut body = body_of(raw);
+        let flags = edit(flags_of(&body));
+        body[FLAGS_AT..FLAGS_AT + 4].copy_from_slice(&flags.to_le_bytes());
+        reframe(&body)
+    }
+
+    /// Edits the flags of the image taken at every block boundary of a
+    /// default run; each edited image must restore and finish with the
+    /// labels and roles of the uninterrupted run.
+    fn assert_edited_images_finish_like_default(edit: impl Fn(u32) -> u32) {
+        let g = toy_graph();
+        let mut expected = AnyScan::new(&g, toy_config()).run();
+        expected.canonicalize();
+        let mut algo = AnyScan::new(&g, toy_config());
+        loop {
+            let raw = with_flags(algo.checkpoint().to_bytes(), &edit);
+            let back = Checkpoint::from_bytes(raw).expect("edited image parses");
+            assert_eq!(back.config(0).sketch, SketchMode::Off);
+            let mut got = back.restore(&g, 0).expect("restore").run();
+            got.canonicalize();
+            assert_eq!(got.labels, expected.labels, "labels diverged");
+            assert_eq!(got.roles, expected.roles, "roles diverged");
+            if algo.phase() == Phase::Done {
+                break;
+            }
+            algo.step();
+        }
+    }
+
+    #[test]
+    fn default_image_sets_the_same_flag_bits_as_before() {
+        let g = toy_graph();
+        let mut algo = AnyScan::new(&g, toy_config());
+        algo.step();
+        assert_eq!(flags_of(&algo.checkpoint().to_bytes()), DEFAULT_FLAGS);
+    }
+
+    #[test]
+    fn locked_dsu_image_restores_exactly() {
+        assert_edited_images_finish_like_default(|f| f | (1 << 4));
+    }
+
+    #[test]
+    fn image_without_hub_and_batched_bits_restores_exactly() {
+        assert_edited_images_finish_like_default(|f| f & !ALWAYS_ON_FLAGS);
+    }
+
+    #[test]
+    fn assist_sketch_code_restores_as_off() {
+        assert_edited_images_finish_like_default(|f| f | (1 << 11));
+
+        // Code 1 still carries a signature size that must be valid.
+        let g = toy_graph();
+        let mut algo = AnyScan::new(&g, toy_config());
+        algo.step();
+        let mut body = body_of(with_flags(algo.checkpoint().to_bytes(), |f| f | (1 << 11)));
+        body[TUNING_TAIL_AT..TUNING_TAIL_AT + 4].copy_from_slice(&0u32.to_le_bytes());
+        let err = Checkpoint::from_bytes(reframe(&body)).expect_err("zero rows");
+        assert_eq!(err.kind(), ErrorKind::Corrupt);
+        assert!(err.to_string().contains("sketch rows"), "typed message");
+    }
+
     #[test]
     fn unknown_sketch_code_is_rejected() {
         let g = toy_graph();
         let mut algo = AnyScan::new(&g, toy_config());
         algo.step();
-        let raw = algo.checkpoint().to_bytes();
-        let body = framing::strip_checksum_trailer(raw).unwrap();
-        let mut bytes = body.chunk().to_vec();
-        // Flags u32 sits right before the tuning tail; force bits 11–12 to
-        // the unassigned code 0b11.
-        let flags_at = TUNING_TAIL_AT - 4;
-        let mut flags = u32::from_le_bytes(bytes[flags_at..flags_at + 4].try_into().unwrap());
-        flags |= 0b11 << 11;
-        bytes[flags_at..flags_at + 4].copy_from_slice(&flags.to_le_bytes());
-        let mut framed = BytesMut::new();
-        framed.put_slice(&bytes);
-        framing::put_checksum_trailer(&mut framed);
-        let err = Checkpoint::from_bytes(framed.into()).expect_err("bad code");
+        // Force bits 11–12 to the unassigned code 0b11.
+        let raw = with_flags(algo.checkpoint().to_bytes(), |f| f | (0b11 << 11));
+        let err = Checkpoint::from_bytes(raw).expect_err("bad code");
         assert_eq!(err.kind(), ErrorKind::Corrupt);
         assert!(err.to_string().contains("sketch-mode"), "typed message");
     }
@@ -972,9 +1048,7 @@ mod tests {
         let g = toy_graph();
         let mut algo = AnyScan::new(&g, toy_config());
         algo.step();
-        let raw = algo.checkpoint().to_bytes();
-        let body = framing::strip_checksum_trailer(raw).unwrap();
-        let mut bytes = body.chunk().to_vec();
+        let mut bytes = body_of(algo.checkpoint().to_bytes());
         let slot_at = TUNING_TAIL_AT + 16;
         let slot = u32::from_le_bytes(bytes[slot_at..slot_at + 4].try_into().unwrap());
         assert_eq!(slot, RETIRED_SLOT);
@@ -983,12 +1057,6 @@ mod tests {
             "the value every pre-removal default run wrote"
         );
 
-        let reframe = |bytes: &[u8]| -> Vec<u8> {
-            let mut framed = BytesMut::new();
-            framed.put_slice(bytes);
-            framing::put_checksum_trailer(&mut framed);
-            framed.into()
-        };
         // Any positive value (say, an image written with a non-default
         // ratio before the knob was removed) is ignored.
         bytes[slot_at..slot_at + 4].copy_from_slice(&4u32.to_le_bytes());

@@ -5,16 +5,6 @@ use anyscan_scan_common::sketch::{DEFAULT_BITS, DEFAULT_ROWS};
 use anyscan_scan_common::HubBitmaps;
 use anyscan_scan_common::{ScanParams, SketchMode};
 
-/// Which shared disjoint-set implementation backs the parallel merges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DsuKind {
-    /// Lock-free union-find (CAS parents). Default.
-    Atomic,
-    /// Mutex around the sequential structure — the literal analogue of the
-    /// paper's `#pragma omp critical Union`; kept for the DSU ablation.
-    Locked,
-}
-
 /// Full configuration of an anySCAN run.
 ///
 /// The paper's defaults are α = β = 8192 (sequential study, §IV-A) and
@@ -44,8 +34,6 @@ pub struct AnyScanConfig {
     /// strongly-related shortcut. The final result stays exact (Step 3
     /// subsumes the merges at higher cost). Ablation lever.
     pub skip_step2: bool,
-    /// Shared DSU implementation for the parallel merges.
-    pub dsu: DsuKind,
     /// Lock-free symmetric edge-decision cache: remember each edge's
     /// ε-verdict (one tri-state atomic per CSR arc, O(E) memory) so no
     /// undirected edge is merge-joined twice across steps or directions.
@@ -63,28 +51,17 @@ pub struct AnyScanConfig {
     /// (deterministic) relabeling, and callers map output back to original
     /// ids via the [`anyscan_graph::VertexPermutation`].
     pub reorder: ReorderMode,
-    /// Hub-bitmap / branchless-merge σ locality bundle
-    /// ([`anyscan_scan_common::Kernel::with_hub_bitmaps`]). Results are
-    /// bit-identical either way; only memory traffic changes. Ablation lever.
-    pub hub_bitmaps: bool,
-    /// Batched source-major Step-1 range queries
-    /// ([`anyscan_scan_common::Kernel::eps_neighborhood_batched`]): each
-    /// block vertex's row is stamped once into a per-worker dense scratch
-    /// and reused across all its candidate pairs. Ablation lever.
-    pub batched_step1: bool,
-    /// MinHash neighborhood sketches: off, exact-preserving assist (order +
-    /// prune-confirm routing, bit-identical clusterings), or approx (the
-    /// estimate decides, signature size as the error knob).
+    /// MinHash neighborhood sketches: off (exact), or approx (the estimate
+    /// decides, signature size as the error knob).
     pub sketch: SketchMode,
     /// MinHash rows per signature (estimate variance ∝ 1/rows).
     pub sketch_rows: usize,
     /// Bits kept per MinHash row (1, 2, 4, 8 or 16).
     pub sketch_bits: u32,
-    /// Most hubs given packed bitmaps when `hub_bitmaps` is on
+    /// Most hubs given packed bitmaps by the kernel's hub-bitmap layer
     /// (`--hub-cap`; caps bitmap memory).
     pub hub_max_hubs: usize,
-    /// Closed-degree floor for bitmap eligibility when `hub_bitmaps` is on
-    /// (`--hub-min-degree`).
+    /// Closed-degree floor for hub-bitmap eligibility (`--hub-min-degree`).
     pub hub_min_degree: usize,
 }
 
@@ -101,12 +78,9 @@ impl AnyScanConfig {
             sort_step2: true,
             sort_step3: true,
             skip_step2: false,
-            dsu: DsuKind::Atomic,
             edge_cache: true,
             resolve_roles: true,
             reorder: ReorderMode::None,
-            hub_bitmaps: true,
-            batched_step1: true,
             sketch: SketchMode::Off,
             sketch_rows: DEFAULT_ROWS,
             sketch_bits: DEFAULT_BITS,
@@ -161,18 +135,6 @@ impl AnyScanConfig {
         self
     }
 
-    /// Builder-style hub-bitmap toggle.
-    pub fn with_hub_bitmaps(mut self, enabled: bool) -> Self {
-        self.hub_bitmaps = enabled;
-        self
-    }
-
-    /// Builder-style batched-Step-1 toggle.
-    pub fn with_batched_step1(mut self, enabled: bool) -> Self {
-        self.batched_step1 = enabled;
-        self
-    }
-
     /// Builder-style sketch-mode override.
     pub fn with_sketch(mut self, mode: SketchMode) -> Self {
         self.sketch = mode;
@@ -211,7 +173,6 @@ mod tests {
         assert_eq!(c.beta, 8192);
         assert_eq!(c.threads, 1);
         assert!(c.optimizations && c.sort_step2 && c.sort_step3 && !c.skip_step2);
-        assert_eq!(c.dsu, DsuKind::Atomic);
     }
 
     #[test]
@@ -231,10 +192,10 @@ mod tests {
         assert_eq!(c.hub_max_hubs, HubBitmaps::DEFAULT_MAX_HUBS);
         assert_eq!(c.hub_min_degree, HubBitmaps::DEFAULT_MIN_DEGREE);
         let c = c
-            .with_sketch(SketchMode::Assist)
+            .with_sketch(SketchMode::Approx)
             .with_sketch_params(64, 4)
             .with_hub_params(32, 8);
-        assert_eq!(c.sketch, SketchMode::Assist);
+        assert_eq!(c.sketch, SketchMode::Approx);
         assert_eq!((c.sketch_rows, c.sketch_bits), (64, 4));
         assert_eq!((c.hub_max_hubs, c.hub_min_degree), (32, 8));
     }

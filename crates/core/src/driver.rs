@@ -3,14 +3,14 @@
 use std::sync::atomic::AtomicU32;
 use std::time::{Duration, Instant};
 
-use anyscan_dsu::{AtomicDsu, DsuSeq, LockedDsu, SharedDsu};
+use anyscan_dsu::{AtomicDsu, DsuSeq};
 use anyscan_graph::{CsrGraph, VertexId};
 use anyscan_parallel::WorkerPool;
 use anyscan_scan_common::{Clustering, Kernel, ScanParams, SimStats};
 use anyscan_telemetry::{BlockSnapshot, Counter, PoolUtilization, Recorder, Telemetry};
 
 use crate::checkpoint::Checkpoint;
-use crate::config::{AnyScanConfig, DsuKind};
+use crate::config::AnyScanConfig;
 use crate::control::{Completion, PartialResult, RunControl};
 use crate::error::{AnyScanError, ErrorKind};
 use crate::snapshot::build_snapshot;
@@ -83,63 +83,6 @@ impl UnionBreakdown {
     }
 }
 
-/// Shared-DSU implementation selected by [`DsuKind`].
-pub(crate) enum SharedDsuImpl {
-    Atomic(AtomicDsu),
-    Locked(LockedDsu),
-}
-
-impl SharedDsuImpl {
-    fn from_seq(kind: DsuKind, seq: &DsuSeq) -> Self {
-        match kind {
-            DsuKind::Atomic => SharedDsuImpl::Atomic(AtomicDsu::from_seq(seq)),
-            DsuKind::Locked => {
-                // Replicate only the partition; counters restart at zero and
-                // Step 1's tally lives in the driver's snapshot.
-                let mut fresh = DsuSeq::new(seq.len());
-                for x in 0..seq.len() as u32 {
-                    let r = seq.find_immutable(x);
-                    if r != x {
-                        fresh.union(x, r);
-                    }
-                }
-                fresh.reset_counters();
-                SharedDsuImpl::Locked(LockedDsu::from_seq(fresh))
-            }
-        }
-    }
-}
-
-impl SharedDsu for SharedDsuImpl {
-    fn find(&self, x: u32) -> u32 {
-        match self {
-            SharedDsuImpl::Atomic(d) => d.find(x),
-            SharedDsuImpl::Locked(d) => d.find(x),
-        }
-    }
-
-    fn union(&self, x: u32, y: u32) -> bool {
-        match self {
-            SharedDsuImpl::Atomic(d) => d.union(x, y),
-            SharedDsuImpl::Locked(d) => d.union(x, y),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            SharedDsuImpl::Atomic(d) => d.len(),
-            SharedDsuImpl::Locked(d) => d.len(),
-        }
-    }
-
-    fn counters(&self) -> anyscan_dsu::DsuCounters {
-        match self {
-            SharedDsuImpl::Atomic(d) => d.counters(),
-            SharedDsuImpl::Locked(d) => d.counters(),
-        }
-    }
-}
-
 /// An in-progress (or finished) anySCAN run.
 ///
 /// ```
@@ -169,7 +112,7 @@ pub struct AnyScan<'g> {
     /// DSU during Step 1 (grown as super-nodes appear, sequential tail).
     pub(crate) dsu_seq: Option<DsuSeq>,
     /// DSU from Step 2 on (fixed element set, shared across threads).
-    pub(crate) dsu_shared: Option<SharedDsuImpl>,
+    pub(crate) dsu_shared: Option<AtomicDsu>,
     /// Processed-noise vertices and their stored ε-neighborhoods (Step 1's
     /// list L, consumed by Step 4).
     pub(crate) noise_list: Vec<(VertexId, Vec<VertexId>)>,
@@ -213,21 +156,19 @@ impl<'g> AnyScan<'g> {
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
         let n = g.num_vertices();
-        let mut kernel = Kernel::with_optimizations(g, config.params, config.optimizations)
-            .with_edge_cache(config.edge_cache);
-        if config.hub_bitmaps {
-            kernel = kernel.with_hub_bitmaps_params(config.hub_max_hubs, config.hub_min_degree);
-        }
         // MinHash signatures are seeded from the run seed and built on the
         // worker pool; a resumed run reconstructs the identical sketches
         // from the checkpointed config.
-        kernel = kernel.with_sketch_params(
-            config.sketch,
-            config.sketch_rows,
-            config.sketch_bits,
-            config.seed,
-            config.threads,
-        );
+        let kernel = Kernel::with_optimizations(g, config.params, config.optimizations)
+            .with_edge_cache(config.edge_cache)
+            .with_hub_bitmaps_params(config.hub_max_hubs, config.hub_min_degree)
+            .with_sketch_params(
+                config.sketch,
+                config.sketch_rows,
+                config.sketch_bits,
+                config.seed,
+                config.threads,
+            );
         let mut draw_order: Vec<VertexId> = (0..n as VertexId).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
         draw_order.shuffle(&mut rng);
@@ -451,7 +392,6 @@ impl<'g> AnyScan<'g> {
         t.add(Counter::SigmaPathBitmap, s.path_bitmap);
         t.add(Counter::SigmaPathBatched, s.path_batched);
         t.add(Counter::SigmaPathSketch, s.path_sketch);
-        t.add(Counter::SketchConfirms, s.sketch_confirms);
         let u = self.union_breakdown();
         t.add(Counter::UnionsStep1, u.step1);
         t.add(Counter::UnionsStep2, u.step2);
@@ -616,7 +556,7 @@ impl<'g> AnyScan<'g> {
     fn finish_step1(&mut self) {
         let seq = self.dsu_seq.take().expect("step 1 DSU present");
         self.union_marks.step1 = seq.counters().unions;
-        let shared = SharedDsuImpl::from_seq(self.config.dsu, &seq);
+        let shared = AtomicDsu::from_seq(&seq);
         self.shared_union_base = shared.counters().unions;
         self.dsu_shared = Some(shared);
     }

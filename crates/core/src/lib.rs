@@ -56,7 +56,7 @@ mod step3;
 mod step4;
 
 pub use checkpoint::Checkpoint;
-pub use config::{AnyScanConfig, DsuKind};
+pub use config::AnyScanConfig;
 pub use control::{Completion, PartialResult, RunControl};
 pub use driver::{anyscan, AnyScan, IterationRecord, Phase, UnionBreakdown};
 pub use error::{AnyScanError, ErrorKind};

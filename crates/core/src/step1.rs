@@ -52,25 +52,21 @@ impl AnyScan<'_> {
 
         // Phase A: independent range queries; each vertex marks only itself.
         // Each worker reuses one scratch buffer for the range query and the
-        // retained copy is allocated at exact size (no growth reallocs).
-        // With `batched_step1` on, the source row is additionally stamped
-        // once into a per-worker dense scratch and reused across all of the
-        // vertex's candidate pairs (source-major evaluation).
+        // retained copy is allocated at exact size (no growth reallocs). The
+        // source row is stamped once into a per-worker dense scratch and
+        // reused across all of the vertex's candidate pairs (source-major
+        // evaluation).
         let kernel = &self.kernel;
         let states = &self.states;
         let block_ref = &block;
         let n = g.num_vertices();
-        let batched = self.config.batched_step1;
         let buffers: Vec<Vec<VertexId>> = parallel_map_with(
             threads,
             block.len(),
-            || (Vec::new(), batched.then(|| BatchScratch::new(n))),
+            || (Vec::new(), BatchScratch::new(n)),
             |(scratch, dense), i| {
                 let p = block_ref[i];
-                match dense {
-                    Some(dense) => kernel.eps_neighborhood_batched(p, dense, scratch),
-                    None => kernel.eps_neighborhood_into(p, scratch),
-                }
+                kernel.eps_neighborhood_batched(p, dense, scratch);
                 let next = if scratch.len() >= mu {
                     VertexState::ProcessedCore
                 } else {

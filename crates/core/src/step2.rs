@@ -6,7 +6,6 @@
 //! (phase A) and merges the super-nodes of confirmed cores under Lemma 2
 //! (phase B, shared DSU).
 
-use anyscan_dsu::SharedDsu;
 use anyscan_graph::VertexId;
 use anyscan_parallel::{parallel_for_adaptive, parallel_map_adaptive};
 use anyscan_telemetry::{Counter, Recorder};

@@ -8,7 +8,6 @@
 //! σ across core–core edges that still straddle clusters and unions on
 //! success (Lemma 3).
 
-use anyscan_dsu::SharedDsu;
 use anyscan_graph::VertexId;
 use anyscan_parallel::{parallel_for_adaptive, parallel_map_adaptive};
 use anyscan_telemetry::{Counter, Recorder};

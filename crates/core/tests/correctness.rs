@@ -1,7 +1,7 @@
 //! The heart of the reproduction: anySCAN's final result must be identical
 //! to SCAN's (Lemma 4) under every configuration knob.
 
-use anyscan::{anyscan, AnyScan, AnyScanConfig, DsuKind, Phase};
+use anyscan::{anyscan, AnyScan, AnyScanConfig, Phase};
 use anyscan_baselines::scan;
 use anyscan_graph::gen::{
     erdos_renyi, lfr, planted_partition, LfrParams, PlantedPartitionParams, WeightModel,
@@ -127,19 +127,17 @@ fn ablation_knobs_preserve_exactness() {
     );
     let params = ScanParams::paper_defaults();
     let truth = scan(&g, params);
-    for (opt, s2, s3, skip2, dsu) in [
-        (false, true, true, false, DsuKind::Atomic),
-        (true, false, false, false, DsuKind::Atomic),
-        (true, true, true, true, DsuKind::Atomic),
-        (true, true, true, false, DsuKind::Locked),
-        (false, false, false, true, DsuKind::Locked),
+    for (opt, s2, s3, skip2) in [
+        (false, true, true, false),
+        (true, false, false, false),
+        (true, true, true, true),
+        (false, false, false, true),
     ] {
         let mut config = AnyScanConfig::new(params).with_block_size(256);
         config.optimizations = opt;
         config.sort_step2 = s2;
         config.sort_step3 = s3;
         config.skip_step2 = skip2;
-        config.dsu = dsu;
         let result = AnyScan::new(&g, config).run();
         assert_scan_equivalent(&g, params, &truth.clustering, &result);
     }

@@ -6,7 +6,7 @@ use anyscan::{AnyScan, AnyScanConfig};
 use anyscan_baselines::scan;
 use anyscan_graph::GraphBuilder;
 use anyscan_scan_common::verify::check_scan_equivalent;
-use anyscan_scan_common::{Role, ScanParams, SketchMode, NOISE};
+use anyscan_scan_common::{Role, ScanParams, NOISE};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = anyscan_graph::CsrGraph> {
@@ -56,40 +56,6 @@ proptest! {
                  threads={threads}, cache={edge_cache}): {e}"
             );
         }
-    }
-
-    /// Assist mode is exact-preserving at the driver level: with the same
-    /// seed and schedule, the whole run — labels *and* roles — is identical
-    /// to a sketch-free run, for arbitrary graphs and (deliberately noisy)
-    /// tiny signatures. The sketches may only reorder and route work among
-    /// exact kernels, never change a decision.
-    #[test]
-    fn assist_clustering_is_bit_identical_to_off(
-        g in arb_graph(),
-        eps in 0.1f64..0.95,
-        mu in 1usize..7,
-        block in 1usize..64,
-        seed in 0u64..1000,
-        rows in 8usize..48,
-        bits_pick in 0usize..3,
-    ) {
-        let params = ScanParams::new(eps, mu);
-        let bits = [1u32, 4, 8][bits_pick];
-        let base = AnyScanConfig::new(params)
-            .with_block_size(block)
-            .with_seed(seed);
-        let off = AnyScan::new(&g, base).run();
-        let assist = AnyScan::new(
-            &g,
-            base.with_sketch(SketchMode::Assist).with_sketch_params(rows, bits),
-        )
-        .run();
-        prop_assert_eq!(&off.labels, &assist.labels,
-            "labels diverged (eps={}, mu={}, block={}, seed={}, rows={}, bits={})",
-            eps, mu, block, seed, rows, bits);
-        prop_assert_eq!(&off.roles, &assist.roles,
-            "roles diverged (eps={}, mu={}, block={}, seed={}, rows={}, bits={})",
-            eps, mu, block, seed, rows, bits);
     }
 
     #[test]

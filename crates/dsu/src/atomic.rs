@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use crate::{DsuCounters, SharedDsu};
+use crate::DsuCounters;
 
 /// Concurrent disjoint-set structure with lock-free `find` and `union`.
 #[derive(Debug)]
@@ -72,10 +72,9 @@ impl AtomicDsu {
         }
         roots.into_iter().map(|r| smallest[r as usize]).collect()
     }
-}
 
-impl SharedDsu for AtomicDsu {
-    fn find(&self, mut x: u32) -> u32 {
+    /// Returns the current representative of `x`'s set.
+    pub fn find(&self, mut x: u32) -> u32 {
         self.finds.fetch_add(1, Ordering::Relaxed);
         loop {
             let p = self.parent[x as usize].load(Ordering::Acquire);
@@ -97,7 +96,8 @@ impl SharedDsu for AtomicDsu {
         }
     }
 
-    fn union(&self, x: u32, y: u32) -> bool {
+    /// Merges the sets of `x` and `y`; returns true if they were distinct.
+    pub fn union(&self, x: u32, y: u32) -> bool {
         let mut x = x;
         let mut y = y;
         loop {
@@ -143,11 +143,23 @@ impl SharedDsu for AtomicDsu {
         }
     }
 
-    fn len(&self) -> usize {
+    /// True if `x` and `y` are currently in the same set.
+    pub fn same_set(&self, x: u32, y: u32) -> bool {
+        self.find(x) == self.find(y)
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
         self.parent.len()
     }
 
-    fn counters(&self) -> DsuCounters {
+    /// True if the structure tracks no elements.
+    pub fn is_empty(&self) -> bool {
+        self.parent.is_empty()
+    }
+
+    /// Snapshot of the operation counters.
+    pub fn counters(&self) -> DsuCounters {
         DsuCounters {
             finds: self.finds.load(Ordering::Relaxed),
             unions: self.unions.load(Ordering::Relaxed),
@@ -173,6 +185,26 @@ mod tests {
         assert!(!d.same_set(1, 2));
         assert_eq!(d.num_sets(), 2);
         assert_eq!(d.counters().unions, 3);
+    }
+
+    #[test]
+    fn set_operations_and_counters() {
+        let d = AtomicDsu::new(4);
+        assert_eq!(d.len(), 4);
+        assert!(!d.is_empty());
+        assert!(d.union(0, 1));
+        assert!(!d.union(1, 0));
+        assert!(d.same_set(0, 1));
+        assert!(!d.same_set(0, 2));
+        assert!(d.union(2, 3));
+        assert!(d.union(0, 3));
+        for a in 0..4 {
+            for b in 0..4 {
+                assert!(d.same_set(a, b));
+            }
+        }
+        assert_eq!(d.counters().unions, 3);
+        assert!(AtomicDsu::new(0).is_empty());
     }
 
     #[test]

@@ -1,28 +1,23 @@
 //! Disjoint-set (union-find) substrates for the anySCAN reproduction.
 //!
 //! anySCAN tracks cluster membership of *super-nodes* in a disjoint-set
-//! structure (paper §III-A); the parallel version executes `Union` inside a
-//! critical section (paper §III-B, Fig. 4 lines 41/60). This crate provides:
+//! structure (paper §III-A); the paper's parallel version executes `Union`
+//! inside a critical section (paper §III-B, Fig. 4 lines 41/60). This crate
+//! provides:
 //!
 //! * [`DsuSeq`] — the textbook sequential structure (union by rank, path
 //!   halving) with `Find`/`Union` operation counters, used by the sequential
-//!   algorithms and by pSCAN. The counters feed Fig. 12.
-//! * [`LockedDsu`] — [`DsuSeq`] behind a [`parking_lot::Mutex`]; the direct
-//!   analogue of the paper's `#pragma omp critical` around `Union`.
+//!   algorithms, by pSCAN and by Step 1 of the anytime driver. The counters
+//!   feed Fig. 12.
 //! * [`AtomicDsu`] — a lock-free union-find (CAS parent updates, union by
 //!   rank, path halving) usable concurrently from many threads without any
-//!   critical section; the default for the parallel driver and one leg of
-//!   the DSU ablation bench.
-//!
-//! Both shared variants implement [`SharedDsu`], so the parallel driver is
-//! generic over the synchronization strategy.
+//!   critical section. It replaces the paper's critical section around the
+//!   Step 2–3 unions of the parallel driver.
 
 pub mod atomic;
-pub mod locked;
 pub mod seq;
 
 pub use atomic::AtomicDsu;
-pub use locked::LockedDsu;
 pub use seq::DsuSeq;
 
 /// Operation counts of a disjoint-set structure (Fig. 12's y-axis).
@@ -32,52 +27,4 @@ pub struct DsuCounters {
     pub finds: u64,
     /// Number of `union` calls that actually merged two distinct sets.
     pub unions: u64,
-}
-
-/// A disjoint-set structure shareable across threads.
-pub trait SharedDsu: Sync + Send {
-    /// Returns the current representative of `x`'s set.
-    fn find(&self, x: u32) -> u32;
-    /// Merges the sets of `x` and `y`; returns true if they were distinct.
-    fn union(&self, x: u32, y: u32) -> bool;
-    /// True if `x` and `y` are currently in the same set.
-    fn same_set(&self, x: u32, y: u32) -> bool {
-        self.find(x) == self.find(y)
-    }
-    /// Number of elements.
-    fn len(&self) -> usize;
-    /// True if the structure tracks no elements.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Snapshot of the operation counters.
-    fn counters(&self) -> DsuCounters;
-}
-
-#[cfg(test)]
-mod trait_tests {
-    use super::*;
-
-    fn exercise(d: &dyn SharedDsu) {
-        assert_eq!(d.len(), 4);
-        assert!(!d.is_empty());
-        assert!(d.union(0, 1));
-        assert!(!d.union(1, 0));
-        assert!(d.same_set(0, 1));
-        assert!(!d.same_set(0, 2));
-        assert!(d.union(2, 3));
-        assert!(d.union(0, 3));
-        for a in 0..4 {
-            for b in 0..4 {
-                assert!(d.same_set(a, b));
-            }
-        }
-        assert_eq!(d.counters().unions, 3);
-    }
-
-    #[test]
-    fn both_shared_variants_agree() {
-        exercise(&AtomicDsu::new(4));
-        exercise(&LockedDsu::new(4));
-    }
 }

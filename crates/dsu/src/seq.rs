@@ -150,11 +150,6 @@ impl DsuSeq {
         self.counters
     }
 
-    /// Resets the operation counters (e.g. between experiment phases).
-    pub fn reset_counters(&mut self) {
-        self.counters = DsuCounters::default();
-    }
-
     /// Canonical labeling: `labels[x]` is the smallest element of `x`'s set.
     /// Useful to compare two structures for set-partition equality.
     pub fn labeling(&mut self) -> Vec<u32> {

@@ -95,8 +95,7 @@ impl DynamicIndex {
         }
         if index.sketch_mode() == SketchMode::Approx {
             return Err(DynError::Incompatible(
-                "approximate-σ index cannot be repaired exactly; rebuild with sketch mode \
-                 off or assist"
+                "approximate-σ index cannot be repaired exactly; rebuild with sketch mode off"
                     .into(),
             ));
         }

@@ -13,8 +13,9 @@
 //! reorder u8                v3+: ReorderMode code the graph was relabeled
 //!                           with before the build (0 = none)
 //! sketch  u8                v4+: SketchMode code the σ values were built
-//!                           under (0 = off); if non-zero, followed by the
-//!                           signature section:
+//!                           under (0 = off, 2 = approx; 1 = the retired
+//!                           exact "assist" mode); if non-zero, followed by
+//!                           the signature section:
 //!   rows  u32               MinHash rows per signature
 //!   bits  u32               bits kept per row
 //!   seed  u64               seed the signatures derive from
@@ -31,7 +32,10 @@
 //!
 //! ≤ v2 files have no reorder byte and load as [`ReorderMode::None`];
 //! ≤ v3 files have no sketch section and load as [`SketchMode::Off`] with
-//! no signatures.
+//! no signatures. Code-1 files hold exact σ values (assist builds were
+//! bit-identical to off) plus signatures that no query reads: the section is
+//! still parsed and validated, so corruption stays a typed error, and then
+//! dropped — the file loads as an `Off` index.
 //!
 //! `read_index` re-validates every structural invariant (sorted orders,
 //! offset monotonicity, threshold/neighbor-order consistency): index files
@@ -70,7 +74,7 @@ pub fn write_index<W: Write>(idx: &SimilarityIndex, mut writer: W) -> Result<(),
     buf.put_u64_le(idx.num_edges());
     buf.put_u64_le(mu_max as u64);
     buf.put_u8(idx.reorder.code());
-    buf.put_u8(idx.sketch_mode.code());
+    buf.put_u8(idx.sketch_mode().code());
     if let Some(sk) = &idx.sketches {
         buf.put_u32_le(sk.rows() as u32);
         buf.put_u32_le(sk.bits());
@@ -125,13 +129,13 @@ pub fn read_index<R: Read>(mut reader: R) -> Result<SimilarityIndex, GraphError>
     } else {
         ReorderMode::None
     };
-    let (sketch_mode, sketches) = if version >= 4 {
+    let sketches = if version >= 4 {
         anyscan_faults::inject_io("index::read_sketches")?;
         framing::need(&buf, 1)?;
         let code = buf.get_u8();
         let mode = SketchMode::from_code(code)
             .ok_or_else(|| GraphError::Format(format!("unknown sketch mode code {code}")))?;
-        let sketches = if mode != SketchMode::Off {
+        let sketches = if code != 0 {
             framing::need(&buf, 4 + 4 + 8 + 8)?;
             let rows = buf.get_u32_le() as usize;
             let bits = buf.get_u32_le();
@@ -153,9 +157,11 @@ pub fn read_index<R: Read>(mut reader: R) -> Result<SimilarityIndex, GraphError>
         } else {
             None
         };
-        (mode, sketches)
+        // A code-1 (retired assist) section was validated above; its σ
+        // values are exact, so the signatures are dropped.
+        sketches.filter(|_| mode == SketchMode::Approx)
     } else {
-        (SketchMode::Off, None)
+        None
     };
 
     let offsets = framing::get_offsets(&mut buf, n)?;
@@ -240,7 +246,6 @@ pub fn read_index<R: Read>(mut reader: R) -> Result<SimilarityIndex, GraphError>
         num_edges,
         reorder,
         sketches,
-        sketch_mode,
     })
 }
 
@@ -404,31 +409,71 @@ mod tests {
 
     #[test]
     fn v4_roundtrips_signatures() {
-        for mode in [SketchMode::Assist, SketchMode::Approx] {
-            let (g, idx) = sketched_index(mode);
-            let mut buf = Vec::new();
-            write_index(&idx, &mut buf).unwrap();
-            let back = read_index(buf.as_slice()).unwrap();
-            assert_eq!(back.sketch_mode(), mode);
-            assert_eq!(back.sketches(), idx.sketches(), "signatures round-trip");
-            assert_eq!(back, idx);
-            let params = ScanParams::new(0.4, 3);
-            assert_eq!(idx.query(&g, params), back.query(&g, params));
-        }
+        let (g, idx) = sketched_index(SketchMode::Approx);
+        let mut buf = Vec::new();
+        write_index(&idx, &mut buf).unwrap();
+        let back = read_index(buf.as_slice()).unwrap();
+        assert_eq!(back.sketch_mode(), SketchMode::Approx);
+        assert_eq!(back.sketches(), idx.sketches(), "signatures round-trip");
+        assert_eq!(back, idx);
+        let params = ScanParams::new(0.4, 3);
+        assert_eq!(idx.query(&g, params), back.query(&g, params));
+    }
+
+    /// Byte range of the signature section in an approx-built file.
+    fn signature_section(buf: &[u8]) -> std::ops::Range<usize> {
+        let words_at = SKETCH_BYTE + 1 + 4 + 4 + 8;
+        let words = u64::from_le_bytes(buf[words_at..words_at + 8].try_into().unwrap());
+        SKETCH_BYTE + 1..words_at + 8 + words as usize * 8
+    }
+
+    /// A file as the retired assist mode wrote it: the exact (`Off`) index
+    /// with sketch code 1 and a valid signature section. Returns the file
+    /// and the `Off` build it must load as.
+    fn assist_image() -> (Vec<u8>, SimilarityIndex) {
+        let (_, off) = sketched_index(SketchMode::Off);
+        let (_, approx) = sketched_index(SketchMode::Approx);
+        let mut off_buf = Vec::new();
+        write_index(&off, &mut off_buf).unwrap();
+        let mut approx_buf = Vec::new();
+        write_index(&approx, &mut approx_buf).unwrap();
+        let section = &approx_buf[signature_section(&approx_buf)];
+        let mut body = off_buf[..SKETCH_BYTE].to_vec();
+        body.push(1);
+        body.extend_from_slice(section);
+        body.extend_from_slice(&off_buf[SKETCH_BYTE + 1..off_buf.len() - framing::CHECKSUM_LEN]);
+        (with_fresh_trailer(&body), off)
+    }
+
+    #[test]
+    fn assist_code_loads_as_off_and_drops_signatures() {
+        let (buf, off) = assist_image();
+        let back = read_index(buf.as_slice()).unwrap();
+        assert_eq!(back, off);
+        assert_eq!(back.sketch_mode(), SketchMode::Off);
+        assert!(back.sketches().is_none());
+    }
+
+    /// Flips `buf[at]` to `value` and re-stamps the trailer.
+    fn patched(buf: &[u8], at: usize, value: u8) -> Vec<u8> {
+        let mut body = buf[..buf.len() - framing::CHECKSUM_LEN].to_vec();
+        body[at] = value;
+        with_fresh_trailer(&body)
     }
 
     #[test]
     fn rejects_corrupt_signature_section() {
-        let (_, idx) = sketched_index(SketchMode::Assist);
+        let (_, idx) = sketched_index(SketchMode::Approx);
         let mut buf = Vec::new();
         write_index(&idx, &mut buf).unwrap();
 
-        // Invalid bits-per-row value.
-        let mut broken = buf.clone();
-        broken[SKETCH_BYTE + 1 + 4] = 3; // bits u32 follows the rows u32
-        broken.truncate(broken.len() - framing::CHECKSUM_LEN);
-        let err = read_index(&with_fresh_trailer(&broken)[..]).unwrap_err();
-        assert!(format!("{err}").contains("signature"), "got: {err}");
+        // Invalid bits-per-row value (the bits u32 follows the rows u32),
+        // in an approx file and in a retired-assist file alike.
+        let bits_at = SKETCH_BYTE + 1 + 4;
+        for file in [&buf, &assist_image().0] {
+            let err = read_index(&patched(file, bits_at, 3)[..]).unwrap_err();
+            assert!(format!("{err}").contains("signature"), "got: {err}");
+        }
 
         // Signature array length disagreeing with rows × bits × n.
         let words_at = SKETCH_BYTE + 1 + 4 + 4 + 8;
@@ -439,10 +484,7 @@ mod tests {
         assert!(read_index(&with_fresh_trailer(&broken)[..]).is_err());
 
         // Unknown sketch-mode code.
-        let mut broken = buf;
-        broken[SKETCH_BYTE] = 7;
-        broken.truncate(broken.len() - framing::CHECKSUM_LEN);
-        let err = read_index(&with_fresh_trailer(&broken)[..]).unwrap_err();
+        let err = read_index(&patched(&buf, SKETCH_BYTE, 7)[..]).unwrap_err();
         assert!(format!("{err}").contains("sketch mode"), "got: {err}");
     }
 

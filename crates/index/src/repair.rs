@@ -243,11 +243,6 @@ impl SimilarityIndex {
             num_edges,
             reorder: self.reorder,
             sketches: None,
-            sketch_mode: if self.sketches.is_some() {
-                anyscan_scan_common::SketchMode::Off
-            } else {
-                self.sketch_mode
-            },
         })
     }
 }
@@ -426,7 +421,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let g = erdos_renyi(&mut rng, 40, 150, WeightModel::uniform_default());
         let opts = crate::IndexBuildOptions {
-            sketch: anyscan_scan_common::SketchMode::Assist,
+            sketch: anyscan_scan_common::SketchMode::Approx,
             ..Default::default()
         };
         let source = SimilarityIndex::build_with_options(&g, 1, opts, &Telemetry::disabled());

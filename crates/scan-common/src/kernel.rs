@@ -81,13 +81,8 @@ pub struct SimStats {
     /// σ evaluations answered by the batched Step-1 dense-row gather.
     pub path_batched: u64,
     /// σ decisions emitted directly from a MinHash sketch estimate
-    /// ([`SketchMode::Approx`] only; always zero in assist mode, where
-    /// sketches order and route but never decide).
+    /// ([`SketchMode::Approx`] only).
     pub path_sketch: u64,
-    /// Assist-mode confirmations: exact decisions routed by a confident
-    /// sketch estimate whose exact verdict agreed with the sketch's side
-    /// (diagnostic, like `early_accepts`; not a partition member).
-    pub sketch_confirms: u64,
 }
 
 impl SimStats {
@@ -133,14 +128,10 @@ pub struct Kernel<'g> {
     /// classic merge-join on every pair (the pre-bundle behavior, used by
     /// the baselines and the bench's before/after comparison).
     hubs: Option<HubBitmaps>,
-    /// MinHash signatures of every closed neighborhood plus how the kernel
-    /// may use them (order/route in assist mode, decide in approx mode).
-    /// `None` ⇔ `sketch_mode == Off`.
+    /// MinHash signatures of every closed neighborhood; present exactly in
+    /// [`SketchMode::Approx`], where the estimates order core-check
+    /// candidates and decide adjacent pairs.
     sketches: Option<NeighborhoodSketches>,
-    sketch_mode: SketchMode,
-    /// Assist-mode confidence half-width `t`: pairs with `|σ̂ − ε| > t` are
-    /// routed as confidently decided (precomputed from the signature size).
-    sketch_band: f64,
     sigma_evals: AtomicU64,
     lemma5_filtered: AtomicU64,
     shared_evals: AtomicU64,
@@ -152,19 +143,6 @@ pub struct Kernel<'g> {
     path_bitmap: AtomicU64,
     path_batched: AtomicU64,
     path_sketch: AtomicU64,
-    sketch_confirms: AtomicU64,
-}
-
-/// How a sketch consultation routed a pair (internal to the kernel).
-enum SketchRoute {
-    /// Sketches off, or the pair must take the normal exact routing.
-    Exact,
-    /// Assist: the estimate is confidently on one side of ε; run the
-    /// cheapest exact path and record agreement. Payload: the sketch's
-    /// similar/dissimilar guess.
-    Confident(bool),
-    /// Approx: the sketch decided outright.
-    Decided(EpsDecision),
 }
 
 impl<'g> Kernel<'g> {
@@ -187,8 +165,6 @@ impl<'g> Kernel<'g> {
             cache: None,
             hubs: None,
             sketches: None,
-            sketch_mode: SketchMode::Off,
-            sketch_band: 0.0,
             sigma_evals: AtomicU64::new(0),
             lemma5_filtered: AtomicU64::new(0),
             shared_evals: AtomicU64::new(0),
@@ -200,7 +176,6 @@ impl<'g> Kernel<'g> {
             path_bitmap: AtomicU64::new(0),
             path_batched: AtomicU64::new(0),
             path_sketch: AtomicU64::new(0),
-            sketch_confirms: AtomicU64::new(0),
         }
     }
 
@@ -234,21 +209,13 @@ impl<'g> Kernel<'g> {
     }
 
     /// Builder-style attachment of prebuilt neighborhood sketches.
-    /// [`SketchMode::Off`] drops any sketches; otherwise the signatures must
-    /// cover this kernel's graph.
-    ///
-    /// * **Assist** keeps every decision exact: sketches only order
-    ///   core-check candidates (most promising first, so the μ-early-exit
-    ///   fires sooner) and route confidently-estimated pairs straight to the
-    ///   classic early-accept/early-reject merge. Clusterings are
-    ///   bit-identical to a sketch-free kernel's.
-    /// * **Approx** lets the estimate decide adjacent pairs outright
-    ///   (`σ̂ ≥ ε` ⇒ similar), counted under `path_sketch`.
+    /// [`SketchMode::Off`] drops any sketches; in [`SketchMode::Approx`] the
+    /// signatures must cover this kernel's graph, and the estimate decides
+    /// adjacent pairs outright (`σ̂ ≥ ε` ⇒ similar), counted under
+    /// `path_sketch`.
     pub fn with_sketches(mut self, sketches: NeighborhoodSketches, mode: SketchMode) -> Self {
         if mode == SketchMode::Off {
             self.sketches = None;
-            self.sketch_mode = mode;
-            self.sketch_band = 0.0;
             return self;
         }
         assert_eq!(
@@ -256,9 +223,7 @@ impl<'g> Kernel<'g> {
             self.graph.num_vertices(),
             "sketches were built for a different graph"
         );
-        self.sketch_band = sketches.tolerance();
         self.sketches = Some(sketches);
-        self.sketch_mode = mode;
         self
     }
 
@@ -287,7 +252,11 @@ impl<'g> Kernel<'g> {
 
     /// How this kernel uses sketches.
     pub fn sketch_mode(&self) -> SketchMode {
-        self.sketch_mode
+        if self.sketches.is_some() {
+            SketchMode::Approx
+        } else {
+            SketchMode::Off
+        }
     }
 
     /// The edge-decision cache, when enabled.
@@ -325,7 +294,6 @@ impl<'g> Kernel<'g> {
             path_bitmap: self.path_bitmap.load(Ordering::Relaxed),
             path_batched: self.path_batched.load(Ordering::Relaxed),
             path_sketch: self.path_sketch.load(Ordering::Relaxed),
-            sketch_confirms: self.sketch_confirms.load(Ordering::Relaxed),
         }
     }
 
@@ -460,36 +428,19 @@ impl<'g> Kernel<'g> {
         num
     }
 
-    /// Consults the sketches to route one pair. [`SketchRoute::Exact`] when
-    /// sketches are off or the assist estimate falls inside the ambiguous
-    /// band `|σ̂ − ε| ≤ t`; in approx mode the estimate decides outright
-    /// (counted as one `path_sketch` evaluation); a confident assist
-    /// estimate requests the classic merge with agreement tracking.
+    /// The sketch's verdict on one pair in approx mode (counted as one
+    /// `path_sketch` evaluation); `None` when sketches are off.
     #[inline]
-    fn sketch_route(&self, u: VertexId, v: VertexId) -> SketchRoute {
-        let Some(sk) = &self.sketches else {
-            return SketchRoute::Exact;
-        };
+    fn sketch_decision(&self, u: VertexId, v: VertexId) -> Option<EpsDecision> {
+        let sk = self.sketches.as_ref()?;
         let est = sk.sigma_estimate(self.graph, u, v);
-        match self.sketch_mode {
-            SketchMode::Off => SketchRoute::Exact,
-            SketchMode::Approx => {
-                self.sigma_evals.fetch_add(1, Ordering::Relaxed);
-                self.path_sketch.fetch_add(1, Ordering::Relaxed);
-                SketchRoute::Decided(if est >= self.params.epsilon {
-                    EpsDecision::Similar
-                } else {
-                    EpsDecision::Dissimilar
-                })
-            }
-            SketchMode::Assist => {
-                if (est - self.params.epsilon).abs() > self.sketch_band {
-                    SketchRoute::Confident(est >= self.params.epsilon)
-                } else {
-                    SketchRoute::Exact
-                }
-            }
-        }
+        self.sigma_evals.fetch_add(1, Ordering::Relaxed);
+        self.path_sketch.fetch_add(1, Ordering::Relaxed);
+        Some(if est >= self.params.epsilon {
+            EpsDecision::Similar
+        } else {
+            EpsDecision::Dissimilar
+        })
     }
 
     /// The Section III-D decision procedure itself, never touching the
@@ -505,21 +456,8 @@ impl<'g> Kernel<'g> {
             return EpsDecision::FilteredOut;
         }
 
-        match self.sketch_route(u, v) {
-            SketchRoute::Decided(decision) => return decision,
-            SketchRoute::Confident(guess) => {
-                // Prune-confirm routing: a confidently-estimated pair skips
-                // the bitmap/branchless selection and runs the classic
-                // early-accept/early-reject merge, which exits fastest on
-                // pairs far from the threshold. The emitted decision is
-                // still made by the exact merge below.
-                let decision = self.merge_decision(u, v, threshold);
-                if matches!(decision, EpsDecision::Similar) == guess {
-                    self.sketch_confirms.fetch_add(1, Ordering::Relaxed);
-                }
-                return decision;
-            }
-            SketchRoute::Exact => {}
+        if let Some(decision) = self.sketch_decision(u, v) {
+            return decision;
         }
 
         // Locality bundle: hub pairs go through the packed bitsets, and
@@ -711,13 +649,8 @@ impl<'g> Kernel<'g> {
         }
 
         // Approx mode: the sketch decides batched pairs outright too.
-        // Assist mode deliberately leaves the batched path alone — the
-        // source row is already stamped, so the dense gather *is* the cheap
-        // exact path here and routing could only reshuffle equals.
-        if self.sketch_mode == SketchMode::Approx {
-            if let SketchRoute::Decided(decision) = self.sketch_route(p, q) {
-                return decision;
-            }
+        if let Some(decision) = self.sketch_decision(p, q) {
+            return decision;
         }
 
         if let Some(hubs) = &self.hubs {
@@ -848,16 +781,15 @@ impl<'g> Kernel<'g> {
             return true;
         }
         let ids = self.graph.neighbor_ids(p);
-        // Sketch-assisted candidate ordering (assist *and* approx): each
-        // per-pair decision is order-independent (and exact in assist mode),
-        // so the verdict — and in assist mode the whole clustering — is
-        // identical to the unordered scan; only which pairs ever get
-        // evaluated changes. The direction is outcome-adaptive: when the
-        // estimates predict ≥ μ hits, scanning the most promising first
-        // makes the μ-early-exit fire after ~μ confirmed neighbors; when
-        // they predict failure, scanning the *least* promising first keeps
-        // the confirmed count low so the remaining-candidates bound fires
-        // as early as possible (evaluating hits first only postpones it).
+        // Sketch-ordered candidates (approx mode): each per-pair decision is
+        // order-independent, so the verdict is identical to the unordered
+        // scan; only which pairs ever get evaluated changes. The direction
+        // is outcome-adaptive: when the estimates predict ≥ μ hits, scanning
+        // the most promising first makes the μ-early-exit fire after ~μ
+        // confirmed neighbors; when they predict failure, scanning the
+        // *least* promising first keeps the confirmed count low so the
+        // remaining-candidates bound fires as early as possible (evaluating
+        // hits first only postpones it).
         if let Some(sk) = &self.sketches {
             let mut cand: Vec<(f64, VertexId)> = ids
                 .iter()
@@ -1506,34 +1438,10 @@ mod tests {
         );
     }
 
-    /// Assist mode routes confidently-estimated pairs to the classic merge
-    /// and records exact agreements, while emitting zero sketch decisions.
-    #[test]
-    fn assist_routes_and_confirms_confident_pairs() {
-        let g = hubby_random_graph(12);
-        let k = Kernel::new(&g, ScanParams::new(0.4, 3)).with_sketch_params(
-            SketchMode::Assist,
-            512,
-            16,
-            5,
-            1,
-        );
-        for p in g.vertices() {
-            let _ = k.eps_neighborhood(p);
-        }
-        let s = k.stats();
-        assert_eq!(s.path_sketch, 0, "assist never decides from the sketch");
-        assert!(
-            s.sketch_confirms > 0,
-            "wide signatures must confidently route some pairs"
-        );
-        assert!(s.sketch_confirms <= s.path_merge);
-    }
-
     proptest! {
         /// Satellite: the `sigma_path_{merge,probe,bitmap,batched,sketch}`
         /// counters exactly partition `sigma_evals` across every combination
-        /// of SketchMode × hub-bitmaps × batched Step-1 × edge cache
+        /// of SketchMode × kernel hub bitmaps × batched range query × edge cache
         /// (probe stays zero — it is recorded externally by the index
         /// build, never by these kernel paths).
         #[test]
@@ -1543,7 +1451,7 @@ mod tests {
         ) {
             let g = GraphBuilder::from_edges(14, edges).unwrap();
             let params = ScanParams::new(eps, 3);
-            for mode in [SketchMode::Off, SketchMode::Assist, SketchMode::Approx] {
+            for mode in [SketchMode::Off, SketchMode::Approx] {
                 for hub in [false, true] {
                     for batched in [false, true] {
                         for cache in [false, true] {
@@ -1580,39 +1488,6 @@ mod tests {
                     }
                 }
             }
-        }
-
-        /// Assist mode is exact-preserving at the decision level even with
-        /// deliberately tiny (noisy) signatures: every adjacent ε-decision
-        /// and core check matches the sketch-free kernel's.
-        #[test]
-        fn assist_decisions_match_sketch_free(
-            edges in proptest::collection::vec((0u32..14, 0u32..14, 0.05f64..1.0), 1..70),
-            eps in 0.05f64..0.95,
-        ) {
-            let g = GraphBuilder::from_edges(14, edges).unwrap();
-            let params = ScanParams::new(eps, 2);
-            let plain = Kernel::new(&g, params);
-            let assist =
-                Kernel::new(&g, params).with_sketch_params(SketchMode::Assist, 16, 4, 3, 1);
-            for u in g.vertices() {
-                for &v in g.neighbor_ids(u) {
-                    if v == u {
-                        continue;
-                    }
-                    prop_assert_eq!(
-                        plain.is_eps_neighbor(u, v),
-                        assist.is_eps_neighbor(u, v),
-                        "assist decision drifted at ({}, {})", u, v
-                    );
-                }
-                prop_assert_eq!(
-                    plain.core_check_early_exit(u, 0),
-                    assist.core_check_early_exit(u, 0),
-                    "assist core check drifted at {}", u
-                );
-            }
-            prop_assert_eq!(assist.stats().path_sketch, 0u64);
         }
 
         /// σ is symmetric, in [0,1], and the optimized ε-decision always

@@ -21,13 +21,10 @@
 //! ```
 //!
 //! **Error model.** Per-row matches are i.i.d. Bernoulli, so the standard
-//! error of `m` is at most `0.5/√rows`; [`NeighborhoodSketches::tolerance`]
-//! widens that into the confidence half-width assist mode uses to route
-//! only the ambiguous band `|σ̂ − ε| ≤ t` through the exact kernels. The
-//! estimator targets the *unweighted* cosine: edge weights are invisible to
-//! a set sketch, which is exact for unit-weight graphs and a documented
-//! source of bias on weighted ones (DESIGN.md §11). Assist mode is immune —
-//! sketches there only order and route, never decide.
+//! error of `m` is at most `0.5/√rows`. The estimator targets the
+//! *unweighted* cosine: edge weights are invisible to a set sketch, which is
+//! exact for unit-weight graphs and a documented source of bias on weighted
+//! ones (DESIGN.md §11).
 //!
 //! Construction is deterministic: row `r` hashes vertex `x` with a
 //! splitmix64-style mixer keyed on `seed` and `r`, so equal `(graph, rows,
@@ -43,12 +40,6 @@ pub enum SketchMode {
     /// No sketches: every decision runs the exact kernels (the baseline).
     #[default]
     Off,
-    /// Exact-preserving acceleration: sketch estimates *order* core-check
-    /// candidates (most promising first, so the μ-early-exit fires sooner)
-    /// and route confident pairs to the cheapest exact path. Every emitted
-    /// decision is still made by `sigma_raw`-equivalent code; clusterings
-    /// are bit-identical to [`SketchMode::Off`].
-    Assist,
     /// The sketch estimate decides outright (`σ̂ ≥ ε` ⇒ similar). Signature
     /// size is the error knob; see the crate-level error model.
     Approx,
@@ -59,26 +50,26 @@ impl SketchMode {
     pub fn code(self) -> u8 {
         match self {
             SketchMode::Off => 0,
-            SketchMode::Assist => 1,
             SketchMode::Approx => 2,
         }
     }
 
-    /// Inverse of [`SketchMode::code`]; `None` for unknown codes.
+    /// Inverse of [`SketchMode::code`]; `None` for unknown codes. Code 1
+    /// belonged to a retired exact "assist" mode whose clusterings and σ
+    /// values were bit-identical to [`SketchMode::Off`], so it decodes as
+    /// `Off` and older files still load.
     pub fn from_code(code: u8) -> Option<SketchMode> {
         match code {
-            0 => Some(SketchMode::Off),
-            1 => Some(SketchMode::Assist),
+            0 | 1 => Some(SketchMode::Off),
             2 => Some(SketchMode::Approx),
             _ => None,
         }
     }
 
-    /// CLI spelling (`--sketch off|assist|approx`).
+    /// CLI spelling (`--sketch off|approx`).
     pub fn as_str(self) -> &'static str {
         match self {
             SketchMode::Off => "off",
-            SketchMode::Assist => "assist",
             SketchMode::Approx => "approx",
         }
     }
@@ -90,10 +81,9 @@ impl std::str::FromStr for SketchMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "off" => Ok(SketchMode::Off),
-            "assist" => Ok(SketchMode::Assist),
             "approx" => Ok(SketchMode::Approx),
             other => Err(format!(
-                "unknown sketch mode {other:?} (expected off, assist or approx)"
+                "unknown sketch mode {other:?} (expected off or approx)"
             )),
         }
     }
@@ -239,15 +229,6 @@ impl NeighborhoodSketches {
         &self.data
     }
 
-    /// Confidence half-width `t` for assist-mode routing: pairs with
-    /// `|σ̂ − ε| > t` are considered confidently decided by the sketch
-    /// (≈2 standard errors of the matching-row rate, widened for the
-    /// truncation de-bias and the J→σ transfer slope).
-    pub fn tolerance(&self) -> f64 {
-        let c = collision_rate(self.bits);
-        2.0 / ((self.rows as f64).sqrt() * (1.0 - c))
-    }
-
     #[inline]
     fn words(&self, v: VertexId) -> &[u64] {
         let start = v as usize * self.words_per_vertex;
@@ -370,12 +351,18 @@ mod tests {
 
     #[test]
     fn mode_codes_roundtrip() {
-        for mode in [SketchMode::Off, SketchMode::Assist, SketchMode::Approx] {
+        for mode in [SketchMode::Off, SketchMode::Approx] {
             assert_eq!(SketchMode::from_code(mode.code()), Some(mode));
             assert_eq!(mode.as_str().parse::<SketchMode>().unwrap(), mode);
         }
+        assert_eq!(
+            SketchMode::from_code(1),
+            Some(SketchMode::Off),
+            "retired assist code"
+        );
         assert_eq!(SketchMode::from_code(9), None);
         assert!("fuzzy".parse::<SketchMode>().is_err());
+        assert!("assist".parse::<SketchMode>().is_err());
     }
 
     #[test]
@@ -462,13 +449,5 @@ mod tests {
             NeighborhoodSketches::from_raw_parts(33, 4, 9, 10, vec![0; 3]).is_err(),
             "length mismatch must be rejected"
         );
-    }
-
-    #[test]
-    fn tolerance_shrinks_with_rows() {
-        let g = path_graph(8);
-        let small = NeighborhoodSketches::build(&g, 32, 8, 1, 1);
-        let large = NeighborhoodSketches::build(&g, 512, 8, 1, 1);
-        assert!(large.tolerance() < small.tolerance());
     }
 }

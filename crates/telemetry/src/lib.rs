@@ -119,12 +119,8 @@ pub enum Counter {
     /// the index build's row pass).
     SigmaPathBatched,
     /// σ decisions emitted directly from a MinHash sketch estimate (approx
-    /// mode only; stays zero in assist mode, keeping the `sigma_path_*`
-    /// partition of `sigma_evals` exact).
+    /// mode only).
     SigmaPathSketch,
-    /// Assist-mode confirmations: exact decisions routed by a confident
-    /// sketch estimate whose exact verdict agreed with the sketch's side.
-    SketchConfirms,
     /// Requests admitted and answered by the serving daemon (all opcodes).
     ServeRequests,
     /// Index re-cluster requests answered by the daemon.
@@ -173,7 +169,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters, in storage order.
-    pub const ALL: [Counter; 48] = [
+    pub const ALL: [Counter; 47] = [
         Counter::SigmaEvals,
         Counter::Lemma5Filtered,
         Counter::SharedEvals,
@@ -203,7 +199,6 @@ impl Counter {
         Counter::SigmaPathBitmap,
         Counter::SigmaPathBatched,
         Counter::SigmaPathSketch,
-        Counter::SketchConfirms,
         Counter::ServeRequests,
         Counter::ServeQueries,
         Counter::ServeLookups,
@@ -259,7 +254,6 @@ impl Counter {
             Counter::SigmaPathBitmap => "sigma_path_bitmap",
             Counter::SigmaPathBatched => "sigma_path_batched",
             Counter::SigmaPathSketch => "sigma_path_sketch",
-            Counter::SketchConfirms => "sketch_confirms",
             Counter::ServeRequests => "serve_requests",
             Counter::ServeQueries => "serve_queries",
             Counter::ServeLookups => "serve_lookups",

@@ -1,6 +1,5 @@
 //! Parallel anySCAN: sweep thread counts over a dense graph and report the
-//! per-phase behaviour and the speedup curve, plus the lock-free vs
-//! mutex-protected DSU comparison.
+//! per-phase behaviour and the speedup curve.
 //!
 //! NOTE: inside a single-CPU container the "speedups" show scheduling
 //! overhead only; on real multicore hardware this example reproduces the
@@ -10,7 +9,7 @@
 
 use std::time::Instant;
 
-use anyscan::{AnyScan, AnyScanConfig, DsuKind, Phase};
+use anyscan::{AnyScan, AnyScanConfig, Phase};
 use anyscan_graph::gen::{Dataset, DatasetId};
 use anyscan_scan_common::ScanParams;
 
@@ -55,25 +54,5 @@ fn main() {
         for (phase, t) in phase_times {
             println!("             {phase:?}: {t:.3?}");
         }
-    }
-
-    // DSU ablation: `omp critical`-style mutex vs the lock-free structure.
-    println!("\nDSU variant comparison (8 threads):");
-    for (name, kind) in [
-        ("lock-free (AtomicDsu)", DsuKind::Atomic),
-        ("mutex (LockedDsu)", DsuKind::Locked),
-    ] {
-        let mut config = AnyScanConfig::new(params)
-            .with_block_size(block)
-            .with_threads(8);
-        config.dsu = kind;
-        let start = Instant::now();
-        let mut algo = AnyScan::new(&g, config);
-        let _ = algo.run();
-        println!(
-            "  {name}: {:?} (unions {:?})",
-            start.elapsed(),
-            algo.union_breakdown()
-        );
     }
 }

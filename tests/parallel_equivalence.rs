@@ -1,10 +1,10 @@
 //! Thread-count equivalence: the parallel driver must produce
-//! SCAN-equivalent results for every thread count, DSU variant and block
-//! size, and its counters must stay coherent.
+//! SCAN-equivalent results for every thread count and block size, and its
+//! counters must stay coherent.
 
-use anyscan::{AnyScan, AnyScanConfig, DsuKind};
+use anyscan::{AnyScan, AnyScanConfig};
 use anyscan_baselines::scan;
-use anyscan_graph::gen::{lfr, planted_partition, LfrParams, PlantedPartitionParams, WeightModel};
+use anyscan_graph::gen::{lfr, LfrParams};
 use anyscan_scan_common::verify::assert_scan_equivalent;
 use anyscan_scan_common::ScanParams;
 use rand::rngs::StdRng;
@@ -20,31 +20,6 @@ fn thread_sweep_on_lfr() {
         let config = AnyScanConfig::new(params)
             .with_threads(threads)
             .with_auto_block_size(g.num_vertices());
-        let result = AnyScan::new(&g, config).run();
-        assert_scan_equivalent(&g, params, &truth, &result);
-    }
-}
-
-#[test]
-fn thread_sweep_with_locked_dsu() {
-    let mut rng = StdRng::seed_from_u64(301);
-    let (g, _) = planted_partition(
-        &mut rng,
-        &PlantedPartitionParams {
-            n: 800,
-            num_communities: 8,
-            p_in: 0.4,
-            p_out: 0.01,
-            weights: WeightModel::uniform_default(),
-        },
-    );
-    let params = ScanParams::new(0.4, 5);
-    let truth = scan(&g, params).clustering;
-    for threads in [2usize, 4, 8] {
-        let mut config = AnyScanConfig::new(params)
-            .with_threads(threads)
-            .with_block_size(128);
-        config.dsu = DsuKind::Locked;
         let result = AnyScan::new(&g, config).run();
         assert_scan_equivalent(&g, params, &truth, &result);
     }
