@@ -30,6 +30,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::args::Options;
+use crate::out::outln;
 
 type CmdResult = Result<(), String>;
 
@@ -229,24 +230,25 @@ fn run_to_partial(
 pub fn stats(opts: &Options) -> CmdResult {
     let g = load_graph(opts)?;
     let s = graph_stats(&g);
-    println!("vertices                {}", s.num_vertices);
-    println!("edges                   {}", s.num_edges);
-    println!("average degree          {:.3}", s.average_degree);
-    println!(
+    outln!("vertices                {}", s.num_vertices);
+    outln!("edges                   {}", s.num_edges);
+    outln!("average degree          {:.3}", s.average_degree);
+    outln!(
         "min / max degree        {} / {}",
-        s.min_degree, s.max_degree
+        s.min_degree,
+        s.max_degree
     );
-    println!("triangles               {}", s.triangles);
-    println!(
+    outln!("triangles               {}", s.triangles);
+    outln!(
         "avg clustering coeff    {:.4}",
         s.average_clustering_coefficient
     );
-    println!(
+    outln!(
         "global clustering coeff {:.4}",
         s.global_clustering_coefficient
     );
     let (_, components) = anyscan_graph::traversal::connected_components(&g);
-    println!("connected components    {components}");
+    outln!("connected components    {components}");
     Ok(())
 }
 
@@ -296,7 +298,7 @@ pub fn generate(opts: &Options) -> CmdResult {
     } else {
         write_edge_list(&g, BufWriter::new(file)).map_err(|e| e.to_string())?;
     }
-    println!(
+    outln!(
         "wrote {} vertices, {} edges to {out}",
         g.num_vertices(),
         g.num_edges()
@@ -374,18 +376,18 @@ pub fn cluster(opts: &Options) -> CmdResult {
     let elapsed = start.elapsed();
     let clustering = to_original_ids(clustering, &perm);
     let rc = clustering.role_counts();
-    println!("algorithm   {algo}");
-    println!("runtime     {elapsed:?}");
-    println!("sigma evals {evals}");
-    println!("cache hits  {cache_hits}");
-    println!("clusters    {}", clustering.num_clusters());
-    println!("cores       {}", rc.cores);
-    println!("borders     {}", rc.borders);
-    println!("hubs        {}", rc.hubs);
-    println!("outliers    {}", rc.outliers);
+    outln!("algorithm   {algo}");
+    outln!("runtime     {elapsed:?}");
+    outln!("sigma evals {evals}");
+    outln!("cache hits  {cache_hits}");
+    outln!("clusters    {}", clustering.num_clusters());
+    outln!("cores       {}", rc.cores);
+    outln!("borders     {}", rc.borders);
+    outln!("hubs        {}", rc.hubs);
+    outln!("outliers    {}", rc.outliers);
     if let Some(path) = opts.get_str("labels-out") {
         write_labels(path, &clustering)?;
-        println!("labels written to {path}");
+        outln!("labels written to {path}");
     }
     Ok(())
 }
@@ -417,7 +419,7 @@ pub fn resume(opts: &Options) -> CmdResult {
         .restore_with_telemetry(&g, threads, telemetry.clone())
         .map_err(|e| format!("--checkpoint {ckpt_path}: {e}"))?;
     telemetry.add(Counter::ResumeLoads, 1);
-    println!(
+    outln!(
         "resumed {ckpt_path}: phase {:?}, {} blocks done (eps={}, mu={})",
         ck.phase(),
         ck.blocks(),
@@ -433,18 +435,18 @@ pub fn resume(opts: &Options) -> CmdResult {
 
     let clustering = to_original_ids(partial.clustering.clone(), &perm);
     let rc = clustering.role_counts();
-    println!("completion  {}", partial.completion.label());
-    println!("runtime     {elapsed:?} (this session)");
-    println!("blocks      {}", partial.blocks);
-    println!("sigma evals {}", algo.stats().sigma_evals);
-    println!("clusters    {}", clustering.num_clusters());
-    println!("cores       {}", rc.cores);
-    println!("borders     {}", rc.borders);
-    println!("hubs        {}", rc.hubs);
-    println!("outliers    {}", rc.outliers);
+    outln!("completion  {}", partial.completion.label());
+    outln!("runtime     {elapsed:?} (this session)");
+    outln!("blocks      {}", partial.blocks);
+    outln!("sigma evals {}", algo.stats().sigma_evals);
+    outln!("clusters    {}", clustering.num_clusters());
+    outln!("cores       {}", rc.cores);
+    outln!("borders     {}", rc.borders);
+    outln!("hubs        {}", rc.hubs);
+    outln!("outliers    {}", rc.outliers);
     if let Some(path) = opts.get_str("labels-out") {
         write_labels(path, &clustering)?;
-        println!("labels written to {path}");
+        outln!("labels written to {path}");
     }
     if let Some(path) = trace_path {
         telemetry.add(Counter::FaultsInjected, anyscan_faults::injected());
@@ -488,7 +490,7 @@ fn write_trace_with(path: &str, telemetry: &Telemetry, meta: &[(&str, MetaValue)
         .report()
         .ok_or("internal: telemetry handle was not enabled")?;
     std::fs::write(path, report.to_json(meta)).map_err(|e| format!("write {path}: {e}"))?;
-    println!("trace       {path}");
+    outln!("trace       {path}");
     Ok(())
 }
 
@@ -517,20 +519,32 @@ pub fn explore(opts: &Options) -> CmdResult {
     let mu_grid = opts.get_list::<usize>("mu")?.unwrap_or_else(|| vec![5]);
     let start = Instant::now();
     let idx = SimilarityIndex::build(&g, threads);
-    println!(
+    outln!(
         "precomputed {} edge similarities in {:?}\n",
         idx.num_edges(),
         start.elapsed()
     );
-    println!(
+    outln!(
         "{:>6} {:>4} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "eps", "mu", "clusters", "cores", "borders", "noise", "largest"
+        "eps",
+        "mu",
+        "clusters",
+        "cores",
+        "borders",
+        "noise",
+        "largest"
     );
     for &mu in &mu_grid {
         for p in explore::sweep(&idx, &eps_grid, mu) {
-            println!(
+            outln!(
                 "{:>6} {:>4} {:>9} {:>9} {:>9} {:>9} {:>9}",
-                p.epsilon, p.mu, p.clusters, p.cores, p.borders, p.noise, p.largest_cluster
+                p.epsilon,
+                p.mu,
+                p.clusters,
+                p.cores,
+                p.borders,
+                p.noise,
+                p.largest_cluster
             );
         }
     }
@@ -543,7 +557,7 @@ pub fn hierarchy(opts: &Options) -> CmdResult {
     let threads: usize = opts.get_or("threads", 1)?;
     let start = Instant::now();
     let h = EpsilonHierarchy::build(&SimilarityIndex::build(&g, threads), mu);
-    println!(
+    outln!(
         "hierarchy built in {:?}: {} merge events (mu = {})",
         start.elapsed(),
         h.merges().len(),
@@ -553,17 +567,17 @@ pub fn hierarchy(opts: &Options) -> CmdResult {
         .get_list::<f64>("eps")?
         .unwrap_or_else(|| (1..=9).map(|i| i as f64 / 10.0).collect());
     let counts = h.cluster_counts(&grid);
-    println!("{:>6} {:>9}", "eps", "clusters");
+    outln!("{:>6} {:>9}", "eps", "clusters");
     for (e, c) in grid.iter().zip(&counts) {
-        println!("{e:>6} {c:>9}");
+        outln!("{e:>6} {c:>9}");
     }
     // Show the top of the dendrogram.
-    println!(
+    outln!(
         "
 first merges (highest ε):"
     );
     for m in h.merges().iter().take(opts.get_or("top", 10)?) {
-        println!(
+        outln!(
             "  eps={:.4}: {} -- {}",
             m.epsilon,
             perm.old_of_new(m.u),
@@ -604,12 +618,12 @@ pub fn index_build(opts: &Options) -> CmdResult {
     let build_time = start.elapsed();
     let file = File::create(out).map_err(|e| format!("create {out}: {e}"))?;
     write_index(&idx, BufWriter::new(file)).map_err(|e| format!("write {out}: {e}"))?;
-    println!("build time  {build_time:?}");
-    println!("vertices    {}", idx.num_vertices());
-    println!("arcs        {}", idx.num_arcs());
-    println!("mu max      {}", idx.mu_max());
-    println!("sigma mode  {smode}");
-    println!("index       {out}");
+    outln!("build time  {build_time:?}");
+    outln!("vertices    {}", idx.num_vertices());
+    outln!("arcs        {}", idx.num_arcs());
+    outln!("mu max      {}", idx.mu_max());
+    outln!("sigma mode  {smode}");
+    outln!("index       {out}");
     if let Some(path) = trace_path {
         let meta: Vec<(&str, MetaValue)> = vec![
             ("vertices", (g.num_vertices() as u64).into()),
@@ -638,7 +652,7 @@ pub fn index_query(opts: &Options) -> CmdResult {
                 idx.reorder()
             ));
         }
-        println!("offline query: answering from {idx_path} without the graph");
+        outln!("offline query: answering from {idx_path} without the graph");
         None
     } else {
         // Re-derive the relabeling the index was built under (deterministic
@@ -665,9 +679,16 @@ pub fn index_query(opts: &Options) -> CmdResult {
     } else {
         Telemetry::disabled()
     };
-    println!(
+    outln!(
         "{:>6} {:>4} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}",
-        "eps", "mu", "clusters", "cores", "borders", "hubs", "outliers", "latency"
+        "eps",
+        "mu",
+        "clusters",
+        "cores",
+        "borders",
+        "hubs",
+        "outliers",
+        "latency"
     );
     let mut queries = 0u64;
     let mut last: Option<(ScanParams, Clustering)> = None;
@@ -677,11 +698,11 @@ pub fn index_query(opts: &Options) -> CmdResult {
             let t0 = Instant::now();
             let c = match &graph {
                 Some((g, _)) => idx.query_traced(g, params, &telemetry),
-                None => idx.query_offline_traced(params, &telemetry),
+                None => idx.query_offline_traced(params, 1, &telemetry),
             };
             let latency = t0.elapsed();
             let rc = c.role_counts();
-            println!(
+            outln!(
                 "{:>6} {:>4} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}",
                 eps,
                 mu,
@@ -705,7 +726,7 @@ pub fn index_query(opts: &Options) -> CmdResult {
             None => c.clone(),
         };
         write_labels(path, &c)?;
-        println!("labels written to {path} (last query)");
+        outln!("labels written to {path} (last query)");
     }
     if let Some(path) = trace_path {
         let (params, _) = last.as_ref().ok_or("no queries ran")?;
@@ -740,11 +761,12 @@ fn interactive_indexed(opts: &Options, idx_path: &str) -> CmdResult {
     let c = to_original_ids(idx.query_traced(&g, params, &telemetry), &perm);
     let latency = t0.elapsed();
     let rc = c.role_counts();
-    println!(
+    outln!(
         "indexed fast-path: (eps={}, mu={}) answered in {latency:?}",
-        params.epsilon, params.mu
+        params.epsilon,
+        params.mu
     );
-    println!(
+    outln!(
         "final: {} clusters, {} cores, {} borders, {} hubs, {} outliers",
         c.num_clusters(),
         rc.cores,
@@ -764,7 +786,7 @@ fn interactive_indexed(opts: &Options, idx_path: &str) -> CmdResult {
     }
     if let Some(path) = opts.get_str("labels-out") {
         write_labels(path, &c)?;
-        println!("labels written to {path}");
+        outln!("labels written to {path}");
     }
     Ok(())
 }
@@ -794,7 +816,7 @@ pub fn interactive(opts: &Options) -> CmdResult {
     let ckpt_path = opts.get_str("checkpoint");
     let mut algo = AnyScan::new(&g, config).with_telemetry(telemetry.clone());
     let mut next = checkpoint;
-    println!(
+    outln!(
         "clustering {} vertices / {} edges; checkpoint every {checkpoint:?}",
         g.num_vertices(),
         g.num_edges()
@@ -827,7 +849,7 @@ pub fn interactive(opts: &Options) -> CmdResult {
             next += checkpoint;
             let snap = algo.snapshot();
             let rc = snap.role_counts();
-            println!(
+            outln!(
                 "[{:>10?}] {:?}: clusters={} cores={} unclassified={}",
                 algo.cumulative_time(),
                 algo.phase(),
@@ -838,7 +860,7 @@ pub fn interactive(opts: &Options) -> CmdResult {
         }
     }
     let result = algo.result();
-    println!(
+    outln!(
         "final: {} clusters, {} σ evaluations ({} cache hits), unions {:?}",
         result.num_clusters(),
         algo.stats().sigma_evals,
@@ -905,7 +927,7 @@ pub fn serve(opts: &Options) -> CmdResult {
                             .apply_batch(chunk, &telemetry)
                             .map_err(|e| format!("--update-log {raw}: replay: {e}"))?;
                     }
-                    println!(
+                    outln!(
                         "replayed {} logged updates (watermark {})",
                         log.entries().len(),
                         log.applied_seq()
@@ -943,7 +965,7 @@ pub fn serve(opts: &Options) -> CmdResult {
         server.become_replica("");
         match server.promote() {
             anyscan_serve::Response::Promoted { term, .. } => {
-                println!("promoted: serving as primary at term {term}");
+                outln!("promoted: serving as primary at term {term}");
             }
             other => return Err(format!("--promote failed: {other:?}")),
         }
@@ -961,7 +983,7 @@ pub fn serve(opts: &Options) -> CmdResult {
         }
         None => None,
     };
-    println!(
+    outln!(
         "serving {} vertices / {} edges from {idx_path}{}{} \
          ({} in flight, {} queued, cache {})",
         server.num_vertices(),
@@ -985,7 +1007,7 @@ pub fn serve(opts: &Options) -> CmdResult {
         Some(path) => {
             #[cfg(unix)]
             {
-                println!("listening on unix:{path}");
+                outln!("listening on unix:{path}");
                 Listener::bind_unix(path).map_err(|e| format!("bind {path}: {e}"))?
             }
             #[cfg(not(unix))]
@@ -998,7 +1020,7 @@ pub fn serve(opts: &Options) -> CmdResult {
             let addr = opts.get_str("listen").unwrap_or("127.0.0.1:7411");
             let (listener, local) =
                 Listener::bind_tcp(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-            println!("listening on {local}");
+            outln!("listening on {local}");
             listener
         }
     };
@@ -1010,7 +1032,7 @@ pub fn serve(opts: &Options) -> CmdResult {
         let _ = feed.join();
     }
     let stats = server.stats();
-    println!(
+    outln!(
         "drained: {} requests ({} queries, {} lookups, {} runs, \
          {} update batches, {} overloaded, {} protocol errors, {} timeouts)",
         stats.requests,
@@ -1066,7 +1088,7 @@ pub fn probe(opts: &Options) -> CmdResult {
         match client.probe(endpoint) {
             Ok(anyscan_serve::Response::Ping(h)) => {
                 alive += 1;
-                println!(
+                outln!(
                     "{endpoint}: {} term {} epoch {} watermark {} \
                      inflight {} queued {} requests {} errors {} timeouts {}",
                     server_role_name(h.role).unwrap_or("unknown"),
@@ -1080,8 +1102,8 @@ pub fn probe(opts: &Options) -> CmdResult {
                     h.stats.timeouts
                 );
             }
-            Ok(other) => println!("{endpoint}: unexpected answer {other:?}"),
-            Err(e) => println!("{endpoint}: unreachable ({e})"),
+            Ok(other) => outln!("{endpoint}: unexpected answer {other:?}"),
+            Err(e) => outln!("{endpoint}: unreachable ({e})"),
         }
     }
     if alive == 0 {
@@ -1108,7 +1130,7 @@ pub fn promote(opts: &Options) -> CmdResult {
             epoch,
             watermark,
         } => {
-            println!(
+            outln!(
                 "{} is primary at term {term} (epoch {epoch}, watermark {watermark})",
                 endpoints[0]
             );
@@ -1185,12 +1207,12 @@ pub fn mutate(opts: &Options) -> CmdResult {
         reevals += stats.sigma_reevals;
     }
     log.save(Path::new(trace_out)).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "applied {applied} updates ({skipped} no-ops) in batches of {batch}: \
          {reevals} σ re-evaluations, watermark {}",
         engine.applied_seq()
     );
-    println!("trace       {trace_out}");
+    outln!("trace       {trace_out}");
     if let Some(out) = opts.get_str("out") {
         let mutated = engine.to_csr().map_err(|e| e.to_string())?;
         let file = File::create(out).map_err(|e| format!("create {out}: {e}"))?;
@@ -1199,7 +1221,7 @@ pub fn mutate(opts: &Options) -> CmdResult {
         } else {
             write_edge_list(&mutated, BufWriter::new(file)).map_err(|e| e.to_string())?;
         }
-        println!(
+        outln!(
             "mutated     {out} ({} vertices / {} edges)",
             mutated.num_vertices(),
             mutated.num_edges()
@@ -1236,7 +1258,7 @@ pub fn replay(opts: &Options) -> CmdResult {
     let engine = log
         .replay(&g, threads, batch, &telemetry)
         .map_err(|e| format!("--trace {trace}: {e}"))?;
-    println!(
+    outln!(
         "replayed {} updates in {:?} (batches of {batch}, watermark {})",
         log.entries().len(),
         start.elapsed(),
@@ -1246,7 +1268,7 @@ pub fn replay(opts: &Options) -> CmdResult {
         let params = scan_params(opts)?;
         let c = engine.query_traced(params, &telemetry);
         let rc = c.role_counts();
-        println!(
+        outln!(
             "query (eps={}, mu={}): {} clusters, {} cores, {} outliers",
             params.epsilon,
             params.mu,
@@ -1256,7 +1278,7 @@ pub fn replay(opts: &Options) -> CmdResult {
         );
         if let Some(path) = opts.get_str("labels-out") {
             write_labels(path, &c)?;
-            println!("labels      {path}");
+            outln!("labels      {path}");
         }
     }
     if let Some(path) = opts.get_str("trace-json") {

@@ -15,6 +15,7 @@
 
 mod args;
 mod commands;
+mod out;
 mod sigint;
 
 fn main() {

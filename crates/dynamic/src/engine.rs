@@ -124,7 +124,8 @@ impl DynamicIndex {
         &self.index
     }
 
-    /// Worker-pool width used for σ re-evaluation and patch construction.
+    /// Worker-pool width used for σ re-evaluation, patch construction and
+    /// queries.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -146,14 +147,16 @@ impl DynamicIndex {
         self.graph.to_csr().map_err(DynError::Incompatible)
     }
 
-    /// Clusters the current graph at `params` straight from the index.
+    /// Clusters the current graph at `params` straight from the index, on
+    /// the engine's worker-pool width (the answer does not depend on it).
     pub fn query(&self, params: ScanParams) -> Clustering {
-        self.index.query_offline(params)
+        self.query_traced(params, &Telemetry::disabled())
     }
 
     /// [`DynamicIndex::query`] with telemetry.
     pub fn query_traced(&self, params: ScanParams, telemetry: &Telemetry) -> Clustering {
-        self.index.query_offline_traced(params, telemetry)
+        self.index
+            .query_offline_traced(params, self.threads, telemetry)
     }
 
     /// Applies one batch of mutations: validates atomically, mutates the

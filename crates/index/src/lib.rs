@@ -52,7 +52,7 @@ use anyscan_scan_common::kernel::{scores_edge, sigma_row};
 use anyscan_scan_common::sketch::{DEFAULT_BITS, DEFAULT_ROWS};
 use anyscan_scan_common::{
     AtomicEdgeCache, BatchScratch, Clustering, NeighborhoodSketches, Role, ScanParams, SketchMode,
-    NOISE,
+    NOISE, UNCLASSIFIED,
 };
 use anyscan_telemetry::{Counter, Recorder, Telemetry};
 
@@ -394,17 +394,19 @@ impl SimilarityIndex {
     ///
     /// Output-sensitive: cores are a prefix of the μ core order, their
     /// similar neighbors a prefix of each neighbor order; the only
-    /// whole-graph work is the O(|V|) label/role arrays and the hub/outlier
-    /// sweep. Equivalent to the full anySCAN driver under
-    /// `check_scan_equivalent` (same cores, same core partition, same noise
-    /// set, justified border attachments).
+    /// whole-graph work is the O(|V|) label/role arrays. Equivalent to the
+    /// full anySCAN driver under `check_scan_equivalent` (same cores, same
+    /// core partition, same noise set, justified border attachments). The
+    /// answer follows one canonical rule, described at
+    /// [`SimilarityIndex::query_offline_traced`].
     pub fn query(&self, g: &CsrGraph, params: ScanParams) -> Clustering {
         self.query_traced(g, params, &Telemetry::disabled())
     }
 
     /// [`SimilarityIndex::query`] recorded under the `index_query` span and
     /// the `index_queries` / `index_cores_found` / `index_borders_attached`
-    /// counters.
+    /// counters. `g` only fingerprints the index: the answer is read from
+    /// the index alone, like [`SimilarityIndex::query_offline`].
     pub fn query_traced(
         &self,
         g: &CsrGraph,
@@ -414,74 +416,7 @@ impl SimilarityIndex {
         if let Err(e) = self.check_graph(g) {
             panic!("similarity index does not match the queried graph: {e}");
         }
-        let mut clustering = self.label_cores_and_borders(params, telemetry);
-        clustering.classify_noise(g);
-        clustering
-    }
-
-    /// Shared core of [`SimilarityIndex::query_traced`] and
-    /// [`SimilarityIndex::query_offline_traced`]: labels cores and borders,
-    /// leaving every noise vertex's role at [`Role::Outlier`] for the
-    /// caller's hub/outlier sweep.
-    fn label_cores_and_borders(&self, params: ScanParams, telemetry: &Telemetry) -> Clustering {
-        let _span = telemetry.span("index_query");
-        telemetry.add(Counter::IndexQueries, 1);
-        let n = self.num_vertices();
-        let eps = params.epsilon;
-        let mut labels = vec![NOISE; n];
-        let mut roles = vec![Role::Outlier; n];
-
-        if params.mu <= self.mu_max() {
-            // Cores: the prefix of the μ core order with cθ_μ ≥ ε.
-            let (co_verts, co_th) = self.core_order(params.mu);
-            let num_cores = co_th.partition_point(|&t| t >= eps);
-            let cores = &co_verts[..num_cores];
-            telemetry.add(Counter::IndexCoresFound, num_cores as u64);
-
-            let mut is_core = vec![false; n];
-            for &c in cores {
-                is_core[c as usize] = true;
-            }
-
-            // Clusters: union similar core–core edges (each pair once).
-            let mut dsu = DsuSeq::new(n);
-            for &c in cores {
-                let (nbrs, sigs) = self.neighbor_order(c);
-                for (&q, &s) in nbrs.iter().zip(sigs) {
-                    if s < eps {
-                        break;
-                    }
-                    if q > c && is_core[q as usize] {
-                        dsu.union(c, q);
-                    }
-                }
-            }
-            for &c in cores {
-                labels[c as usize] = dsu.find(c);
-                roles[c as usize] = Role::Core;
-            }
-
-            // Borders: non-cores inside some core's ε-prefix, attached to
-            // the first such core in core order.
-            let mut borders = 0u64;
-            for &c in cores {
-                let lc = labels[c as usize];
-                let (nbrs, sigs) = self.neighbor_order(c);
-                for (&q, &s) in nbrs.iter().zip(sigs) {
-                    if s < eps {
-                        break;
-                    }
-                    if !is_core[q as usize] && labels[q as usize] == NOISE {
-                        labels[q as usize] = lc;
-                        roles[q as usize] = Role::Border;
-                        borders += 1;
-                    }
-                }
-            }
-            telemetry.add(Counter::IndexBordersAttached, borders);
-        }
-
-        Clustering { labels, roles }
+        self.query_offline_traced(params, 1, telemetry)
     }
 
     /// Clusters at `params` **without the graph**: the adjacency needed to
@@ -491,41 +426,195 @@ impl SimilarityIndex {
     /// [`SimilarityIndex::query`] on the indexed graph. This is what lets
     /// `index query --sketch approx` answer from the ASIX file alone.
     pub fn query_offline(&self, params: ScanParams) -> Clustering {
-        self.query_offline_traced(params, &Telemetry::disabled())
+        self.query_offline_traced(params, 1, &Telemetry::disabled())
     }
 
-    /// [`SimilarityIndex::query_offline`] under the same span and counters
-    /// as [`SimilarityIndex::query_traced`].
-    pub fn query_offline_traced(&self, params: ScanParams, telemetry: &Telemetry) -> Clustering {
-        let mut clustering = self.label_cores_and_borders(params, telemetry);
-        // `Clustering::classify_noise` replicated against the neighbor
-        // orders instead of the CSR rows.
-        for v in 0..clustering.labels.len() as VertexId {
-            if clustering.labels[v as usize] != NOISE {
-                continue;
-            }
-            let mut first: Option<u32> = None;
-            let mut is_hub = false;
-            for &q in self.neighbor_order(v).0 {
-                if q == v {
-                    continue;
+    /// [`SimilarityIndex::query_offline`] on `threads` workers, under the
+    /// same span and counters as [`SimilarityIndex::query_traced`].
+    ///
+    /// The answer is canonical, so its bytes do not depend on `threads`,
+    /// on union order or on which side a pass walks:
+    ///
+    /// * **cores** are the vertices with `cθ_μ(v) ≥ ε`;
+    /// * **clusters** are the components of similar core–core arcs, each
+    ///   labelled by its smallest core id;
+    /// * a **border** (a non-core with a core in its ε-prefix) takes the
+    ///   label of the first core of its own neighbor order: its most
+    ///   similar core, ties to the smaller id;
+    /// * a noise vertex is a **hub** iff its neighbors carry two or more
+    ///   distinct labels, else an **outlier**.
+    ///
+    /// Each pass walks whichever side of the answer is smaller. Borders
+    /// are attached from the cores' rows during the union walk while cores
+    /// are at most half the vertices, else from each non-core's own short
+    /// prefix; hubs are found from the clustered vertices' rows while they
+    /// are the minority, else from each noise vertex's row. The union walk
+    /// visits cores in vertex-id order (sequential row reads) and stays
+    /// serial; the per-vertex passes are split by vertex range over the
+    /// worker pool.
+    pub fn query_offline_traced(
+        &self,
+        params: ScanParams,
+        threads: usize,
+        telemetry: &Telemetry,
+    ) -> Clustering {
+        let _span = telemetry.span("index_query");
+        telemetry.add(Counter::IndexQueries, 1);
+        let n = self.num_vertices();
+        let eps = params.epsilon;
+
+        // Cores: the prefix of the μ core order with cθ_μ ≥ ε.
+        let cores: &[VertexId] = if params.mu <= self.mu_max() {
+            let (co_verts, co_th) = self.core_order(params.mu);
+            &co_verts[..co_th.partition_point(|&t| t >= eps)]
+        } else {
+            &[]
+        };
+        let num_cores = cores.len();
+        let mut is_core = vec![false; n];
+        for &c in cores {
+            is_core[c as usize] = true;
+        }
+        telemetry.add(Counter::IndexCoresFound, num_cores as u64);
+
+        let from_cores = num_cores <= n - num_cores;
+        let labels = self.label_cores(&is_core, eps, from_cores);
+        let labels = if from_cores {
+            labels
+        } else {
+            parallel_map_adaptive(threads, n, |v| {
+                if is_core[v] {
+                    return labels[v];
                 }
-                let l = clustering.labels[q as usize];
+                self.similar_prefix(v as VertexId, eps)
+                    .find(|&q| is_core[q as usize])
+                    .map_or(NOISE, |q| labels[q as usize])
+            })
+        };
+        let clustered = labels.iter().filter(|&&l| l != NOISE).count();
+        telemetry.add(
+            Counter::IndexBordersAttached,
+            (clustered - num_cores) as u64,
+        );
+
+        let from_clustered = clustered < n - clustered;
+        let mut roles = parallel_map_adaptive(threads, n, |v| {
+            if is_core[v] {
+                Role::Core
+            } else if labels[v] != NOISE {
+                Role::Border
+            } else if !from_clustered && self.touches_two_clusters(v as VertexId, &labels) {
+                Role::Hub
+            } else {
+                Role::Outlier
+            }
+        });
+        if from_clustered {
+            // Each noise vertex remembers the first label a clustered
+            // neighbor showed it; a second, different one makes it a hub.
+            // Clustered vertices hold a sentinel no label can take (labels
+            // are vertex ids), so each arc costs one lookup.
+            const CLUSTERED: u32 = UNCLASSIFIED;
+            let mut seen: Vec<u32> = labels
+                .iter()
+                .map(|&l| if l == NOISE { NOISE } else { CLUSTERED })
+                .collect();
+            for (u, &l) in labels.iter().enumerate() {
                 if l == NOISE {
                     continue;
                 }
-                match first {
-                    None => first = Some(l),
-                    Some(f) if f != l => {
-                        is_hub = true;
-                        break;
+                for &q in self.neighbor_order(u as VertexId).0 {
+                    let q = q as usize;
+                    let s = seen[q];
+                    if s == NOISE {
+                        seen[q] = l;
+                    } else if s != l && s != CLUSTERED {
+                        roles[q] = Role::Hub;
                     }
-                    _ => {}
                 }
             }
-            clustering.roles[v as usize] = if is_hub { Role::Hub } else { Role::Outlier };
         }
-        clustering
+        Clustering { labels, roles }
+    }
+
+    /// The ids in `v`'s ε-prefix: its neighbors with σ ≥ `eps`, most
+    /// similar first (ties by ascending id), `v` itself included.
+    fn similar_prefix(&self, v: VertexId, eps: f64) -> impl Iterator<Item = VertexId> + '_ {
+        let (nbrs, sigs) = self.neighbor_order(v);
+        nbrs.iter()
+            .zip(sigs)
+            .take_while(move |&(_, &s)| s >= eps)
+            .map(|(&q, _)| q)
+    }
+
+    /// The one serial pass of a query: walks every core's ε-prefix in
+    /// vertex-id order, unions similar core–core arcs and labels each core
+    /// with the smallest core id of its cluster. Every other label is
+    /// [`NOISE`], unless `attach` asks this walk to attach the borders too.
+    /// The walk then keeps, per non-core, the most similar core seen
+    /// (strictly greater σ replaces it, so ties stay with the smaller id,
+    /// met first) and takes that core's label. σ is bit-equal on both arcs
+    /// of an edge, so this is the first core of the non-core's own prefix.
+    fn label_cores(&self, is_core: &[bool], eps: f64, attach: bool) -> Vec<u32> {
+        let n = is_core.len();
+        let mut dsu = DsuSeq::new(n);
+        // While attaching, a non-core's slot holds the id of its best core
+        // so far; `best` holds that core's σ.
+        let mut labels = vec![NOISE; n];
+        let mut best = if attach {
+            vec![f64::NEG_INFINITY; n]
+        } else {
+            Vec::new()
+        };
+        for c in (0..n as VertexId).filter(|&c| is_core[c as usize]) {
+            let (nbrs, sigs) = self.neighbor_order(c);
+            for (&q, &s) in nbrs.iter().zip(sigs) {
+                if s < eps {
+                    break;
+                }
+                if q > c && is_core[q as usize] {
+                    dsu.union(c, q);
+                } else if attach && !is_core[q as usize] && s > best[q as usize] {
+                    best[q as usize] = s;
+                    labels[q as usize] = c;
+                }
+            }
+        }
+        // Ascending ids meet each cluster's smallest core first; it parks
+        // the label on the cluster's root (a core, so no border's slot).
+        for c in (0..n as VertexId).filter(|&c| is_core[c as usize]) {
+            let root = dsu.find(c) as usize;
+            if labels[root] == NOISE {
+                labels[root] = c;
+            }
+            labels[c as usize] = labels[root];
+        }
+        if attach {
+            for v in 0..n {
+                if !is_core[v] && labels[v] != NOISE {
+                    labels[v] = labels[labels[v] as usize];
+                }
+            }
+        }
+        labels
+    }
+
+    /// Whether the neighbors of noise vertex `v` carry two or more
+    /// distinct cluster labels (the hub rule; `v`'s own label is noise).
+    fn touches_two_clusters(&self, v: VertexId, labels: &[u32]) -> bool {
+        let mut first = NOISE;
+        for &q in self.neighbor_order(v).0 {
+            let l = labels[q as usize];
+            if l == NOISE {
+                continue;
+            }
+            if first == NOISE {
+                first = l;
+            } else if first != l {
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -723,6 +812,185 @@ mod tests {
                 assert_eq!(with_graph.labels, offline.labels);
                 assert_eq!(with_graph.roles, offline.roles, "ε={eps} μ={mu}");
             }
+        }
+    }
+
+    /// The canonical answer rule written out serially against the graph:
+    /// σ from `sigma_raw`, clusters by flooding from the smallest core,
+    /// each border on its most similar core (ties to the smaller id).
+    fn canonical_reference(g: &CsrGraph, params: ScanParams) -> Clustering {
+        let n = g.num_vertices();
+        let similar = |v: usize| -> Vec<(usize, f64)> {
+            g.neighbor_ids(v as VertexId)
+                .iter()
+                .map(|&q| q as usize)
+                .filter(|&q| q != v)
+                .map(|q| (q, sigma_raw(g, v as VertexId, q as VertexId)))
+                .filter(|&(_, s)| s >= params.epsilon)
+                .collect()
+        };
+        // The closed ε-neighborhood counts the vertex itself.
+        let is_core: Vec<bool> = (0..n).map(|v| similar(v).len() + 1 >= params.mu).collect();
+        let mut labels = vec![NOISE; n];
+        let mut roles = vec![Role::Outlier; n];
+        for first in 0..n {
+            if !is_core[first] || labels[first] != NOISE {
+                continue;
+            }
+            labels[first] = first as u32;
+            let mut stack = vec![first];
+            while let Some(v) = stack.pop() {
+                roles[v] = Role::Core;
+                for (q, _) in similar(v) {
+                    if is_core[q] && labels[q] == NOISE {
+                        labels[q] = first as u32;
+                        stack.push(q);
+                    }
+                }
+            }
+        }
+        for v in (0..n).filter(|&v| !is_core[v]) {
+            let best = similar(v)
+                .into_iter()
+                .filter(|&(q, _)| is_core[q])
+                .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
+            if let Some((q, _)) = best {
+                labels[v] = labels[q];
+                roles[v] = Role::Border;
+            }
+        }
+        for v in (0..n).filter(|&v| labels[v] == NOISE) {
+            let mut near: Vec<u32> = g
+                .neighbor_ids(v as VertexId)
+                .iter()
+                .map(|&q| labels[q as usize])
+                .filter(|&l| l != NOISE)
+                .collect();
+            near.sort_unstable();
+            near.dedup();
+            if near.len() >= 2 {
+                roles[v] = Role::Hub;
+            }
+        }
+        Clustering { labels, roles }
+    }
+
+    /// Checks every query entry point against the reference at one point.
+    fn assert_canonical(g: &CsrGraph, idx: &SimilarityIndex, params: ScanParams) {
+        let want = canonical_reference(g, params);
+        assert_eq!(idx.query(g, params), want, "query at {params:?}");
+        for threads in [1, 2, 8] {
+            let got = idx.query_offline_traced(params, threads, &Telemetry::disabled());
+            assert_eq!(got, want, "{threads} threads at {params:?}");
+        }
+    }
+
+    /// Which sides a query at `params` walks: `(attach from the cores,
+    /// sweep hubs from the clustered vertices)`.
+    fn walk_sides(c: &Clustering) -> (bool, bool) {
+        let n = c.len();
+        let rc = c.role_counts();
+        let clustered = rc.cores + rc.borders;
+        (rc.cores <= n - rc.cores, clustered < n - clustered)
+    }
+
+    /// ER with uniform weights, ER with unit weights (σ ties everywhere)
+    /// and the skewed R-MAT.
+    fn canonical_inputs() -> Vec<CsrGraph> {
+        let mut rng = StdRng::seed_from_u64(31);
+        vec![
+            erdos_renyi(&mut rng, 150, 900, WeightModel::uniform_default()),
+            erdos_renyi(&mut rng, 150, 900, WeightModel::Unit),
+            skewed_rmat(),
+        ]
+    }
+
+    #[test]
+    fn canonical_answers_walk_both_sides() {
+        for g in canonical_inputs() {
+            let idx = SimilarityIndex::build(&g, 2);
+            let mut sides = std::collections::HashSet::new();
+            for eps in [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] {
+                for mu in [2, 3, 5] {
+                    let params = ScanParams::new(eps, mu);
+                    assert_canonical(&g, &idx, params);
+                    sides.insert(walk_sides(&idx.query_offline(params)));
+                }
+            }
+            let attach: std::collections::HashSet<bool> = sides.iter().map(|s| s.0).collect();
+            let sweep: std::collections::HashSet<bool> = sides.iter().map(|s| s.1).collect();
+            assert_eq!(attach.len(), 2, "the ε grid must attach from both sides");
+            assert_eq!(sweep.len(), 2, "the ε grid must sweep from both sides");
+        }
+    }
+
+    /// Cliques {0..5} and {5..10}, bridged by vertex 10 through an edge
+    /// to 4 and one to 5, plus `pad` isolated vertices. At μ = 4 the clique
+    /// vertices are the cores and 10 is a border between two clusters; the
+    /// padding flips the attach walk from the non-core side to the core
+    /// side.
+    fn bridged_cliques(w4: f64, w5: f64, pad: usize) -> CsrGraph {
+        let mut b = GraphBuilder::new(11 + pad);
+        for clique in [0..5u32, 5..10] {
+            for u in clique.clone() {
+                for v in u + 1..clique.end {
+                    b.add_edge(u, v, 1.0);
+                }
+            }
+        }
+        b.add_edge(10, 4, w4);
+        b.add_edge(10, 5, w5);
+        b.build()
+    }
+
+    #[test]
+    fn borders_join_their_most_similar_core() {
+        // (weight to 4, weight to 5, the label 10 joins): the more similar
+        // core wins; an exact σ tie goes to the smaller id, 4.
+        for (w4, w5, want) in [(1.0, 1.0, 0), (0.5, 1.0, 5), (1.0, 0.5, 0)] {
+            for pad in [0, 12] {
+                let g = bridged_cliques(w4, w5, pad);
+                let idx = SimilarityIndex::build(&g, 1);
+                let params = ScanParams::new(0.2, 4);
+                let c = idx.query_offline(params);
+                assert_eq!(c.role_counts().cores, 10);
+                assert_eq!(walk_sides(&c).0, pad > 0, "attach side, pad {pad}");
+                assert_eq!(c.roles[10], Role::Border);
+                assert_eq!(c.labels[10], want, "weights {w4}, {w5}, pad {pad}");
+                assert_canonical(&g, &idx, params);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn canonical_answers_are_thread_independent(
+            seed in 0u64..u64::MAX,
+            n in 20usize..160,
+            avg_degree in 2usize..14,
+            unit in 0u8..2,
+            eps in 0.05f64..1.0,
+            mu in 1usize..8,
+        ) {
+            let weights = if unit == 1 { WeightModel::Unit } else { WeightModel::uniform_default() };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = erdos_renyi(&mut rng, n, n * avg_degree / 2, weights);
+            let idx = SimilarityIndex::build(&g, 1);
+            assert_canonical(&g, &idx, ScanParams::new(eps, mu));
+        }
+
+        #[test]
+        fn canonical_answers_on_skewed_rmat(eps in 0.05f64..1.0, mu in 1usize..12) {
+            static RMAT: std::sync::OnceLock<(CsrGraph, SimilarityIndex)> =
+                std::sync::OnceLock::new();
+            let (g, idx) = RMAT.get_or_init(|| {
+                let g = skewed_rmat();
+                let idx = SimilarityIndex::build(&g, 2);
+                (g, idx)
+            });
+            assert_canonical(g, idx, ScanParams::new(eps, mu));
         }
     }
 

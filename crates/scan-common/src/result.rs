@@ -64,7 +64,7 @@ impl Clustering {
     /// side table.
     pub fn canonicalize(&mut self) -> usize {
         const UNSET: u32 = u32::MAX;
-        let bound = self.dense_bound();
+        let bound = dense_bound(self.labels.len());
         let large = self.large_labels();
         let mut dense = vec![UNSET; bound as usize];
         let mut sparse = vec![UNSET; large.len()];
@@ -91,13 +91,19 @@ impl Clustering {
     /// [`Clustering::canonicalize`]: a bitmap over labels below `len`, plus
     /// the sorted distinct labels at or above it.
     pub fn num_clusters(&self) -> usize {
-        let bound = self.dense_bound();
+        Clustering::count_clusters(&self.labels)
+    }
+
+    /// [`Clustering::num_clusters`] of a bare label array (a wire-form
+    /// answer keeps labels without a `Clustering` around them).
+    pub fn count_clusters(labels: &[u32]) -> usize {
+        let bound = dense_bound(labels.len());
         // One bit per dense label, plus an overflow bit at `bound` that
         // every other label (sentinels included) lands on, so no label
         // takes an unpredictable branch; the overflow bit is dropped below.
         let mut seen = vec![0u64; bound as usize / 64 + 1];
         let mut large = Vec::new();
-        for &l in &self.labels {
+        for &l in labels {
             let slot = l.min(bound) as usize;
             seen[slot / 64] |= 1 << (slot % 64);
             if is_large(l, bound) {
@@ -110,17 +116,10 @@ impl Clustering {
         seen.iter().map(|w| w.count_ones() as usize).sum::<usize>() + large.len()
     }
 
-    /// Labels below this bound index the dense tables of
-    /// [`Clustering::num_clusters`] and [`Clustering::canonicalize`]: `len`,
-    /// capped so that the sentinels never fall below it.
-    fn dense_bound(&self) -> u32 {
-        self.labels.len().min(UNCLASSIFIED as usize) as u32
-    }
-
-    /// The distinct cluster labels at or above [`Clustering::dense_bound`],
+    /// The distinct cluster labels at or above [`dense_bound`],
     /// sorted (sentinels excluded).
     fn large_labels(&self) -> Vec<u32> {
-        let bound = self.dense_bound();
+        let bound = dense_bound(self.labels.len());
         let mut large: Vec<u32> = self
             .labels
             .iter()
@@ -213,6 +212,13 @@ impl Clustering {
             self.roles[v as usize] = if is_hub { Role::Hub } else { Role::Outlier };
         }
     }
+}
+
+/// Labels below this bound index the dense tables of
+/// [`Clustering::count_clusters`] and [`Clustering::canonicalize`]: the
+/// label count `len`, capped so that the sentinels never fall below it.
+fn dense_bound(len: usize) -> u32 {
+    len.min(UNCLASSIFIED as usize) as u32
 }
 
 /// Whether `l` is a cluster label at or above `bound` (which is at most

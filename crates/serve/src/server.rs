@@ -19,11 +19,13 @@
 //! permutation is non-identity). A daemon response and a serial CLI run on
 //! the same ASIX file are therefore bit-identical.
 //!
-//! The query cache holds answers in wire form: the summary and the
-//! [`LabelBlock`] (labels plus role codes, in original ids) are built once,
-//! when a `(ε, μ)` first misses. A labelled `Query` hit copies the summary
-//! and clones the block; a `Membership` hit indexes the block directly.
-//! Nothing is recounted or re-mapped per hit.
+//! The query cache holds answers in wire form: the [`LabelBlock`] (labels
+//! plus role codes, in original ids) is built once, when a `(ε, μ)` first
+//! misses, and its summary once, when a `Query` first asks for it. A
+//! labelled `Query` hit copies the summary and clones the block; a
+//! `Membership` hit indexes the block directly. Nothing is recounted or
+//! re-mapped per hit. A miss runs the index query on
+//! [`ServerConfig::threads`] workers.
 //!
 //! Dynamic daemons ([`Server::new_dynamic`]) additionally accept
 //! `ApplyUpdates` batches. Reads and writes coexist through an **epoch
@@ -71,7 +73,9 @@ use crate::protocol::{
 /// Tuning knobs of a [`Server`]; see field docs for defaults.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads for anytime `Run` requests (default 1).
+    /// Worker threads for anytime `Run` requests and for the index query
+    /// behind a `Query` or `Membership` cache miss (default 1). Answers do
+    /// not depend on it.
     pub threads: usize,
     /// Concurrent requests executing (admission slots, default 4).
     pub max_inflight: usize,
@@ -199,23 +203,43 @@ type CacheKey = (u64, u32, u64);
 /// One memoized `(eps, mu)` answer, in the form the wire carries it. Built
 /// once per miss; the only per-vertex copy the cache keeps.
 struct CachedAnswer {
-    summary: QuerySummary,
+    /// Counted on first use: a `Membership` miss reads one vertex of the
+    /// block and never pays for the summary.
+    summary: OnceLock<QuerySummary>,
     block: LabelBlock,
 }
 
 impl CachedAnswer {
-    /// Summarizes `c` and moves its arrays into the block. Roles are coded
-    /// once here rather than on every hit; `Role` and its wire code are
-    /// both one byte, so the standard library's in-place collect reuses the
-    /// role array's allocation.
+    /// Moves `c`'s arrays into the block. Roles are coded once here rather
+    /// than on every hit; `Role` and its wire code are both one byte, so
+    /// the standard library's in-place collect reuses the role array's
+    /// allocation.
     fn new(c: Clustering) -> CachedAnswer {
         CachedAnswer {
-            summary: summarize(&c),
+            summary: OnceLock::new(),
             block: LabelBlock {
                 labels: c.labels,
                 roles: c.roles.into_iter().map(role_code).collect(),
             },
         }
+    }
+
+    /// The answer's summary, counted from the block the first time it is
+    /// asked for.
+    fn summary(&self) -> QuerySummary {
+        *self.summary.get_or_init(|| {
+            let mut roles = [0u32; 256];
+            for &code in &self.block.roles {
+                roles[code as usize] += 1;
+            }
+            QuerySummary {
+                clusters: Clustering::count_clusters(&self.block.labels) as u32,
+                cores: roles[role_code(Role::Core) as usize],
+                borders: roles[role_code(Role::Border) as usize],
+                hubs: roles[role_code(Role::Hub) as usize],
+                outliers: roles[role_code(Role::Outlier) as usize],
+            }
+        })
     }
 }
 
@@ -702,7 +726,7 @@ impl Server {
                 self.telemetry.add(Counter::ServeQueries, 1);
                 let answer = self.cached_query(&self.snapshot(), params);
                 Response::Query {
-                    summary: answer.summary,
+                    summary: answer.summary(),
                     labels: want_labels.then(|| answer.block.clone()),
                 }
             }
@@ -1042,7 +1066,11 @@ impl Server {
             }
         }
         let c = Arc::new(CachedAnswer::new(
-            self.to_original(ep.index.query_offline_traced(params, &self.telemetry)),
+            self.to_original(ep.index.query_offline_traced(
+                params,
+                self.config.threads,
+                &self.telemetry,
+            )),
         ));
         if self.config.cache_entries > 0 {
             let mut cache = self.cache.lock().unwrap();

@@ -398,6 +398,42 @@ fn repeated_labelled_query_hits_the_cache_with_identical_frames() {
     );
 }
 
+/// A `Membership` miss caches the block without its summary; the `Query`
+/// that follows hits and counts the summary then. Its frame equals the one
+/// a daemon answering the `Query` alone sends, even when the miss ran on
+/// four workers and the lone `Query` on one.
+#[test]
+fn membership_miss_then_query_sends_the_lone_query_frame() {
+    let query = Request::Query {
+        eps: EPS,
+        mu: MU,
+        want_labels: true,
+    };
+    let alone = Daemon::start(ServerConfig::default());
+    let expected = call_raw(&mut alone.connect(), &query);
+
+    let daemon = Daemon::start(ServerConfig {
+        threads: 4,
+        ..ServerConfig::default()
+    });
+    let mut stream = daemon.connect();
+    let lookup = Request::Membership {
+        vertex: 42,
+        eps: EPS,
+        mu: MU,
+    };
+    assert!(matches!(
+        call(&mut stream, &lookup),
+        Response::Membership { .. }
+    ));
+    assert_eq!(call_raw(&mut stream, &query), expected);
+    assert_eq!(
+        daemon.index_queries(),
+        1,
+        "the Query after the lookup missed"
+    );
+}
+
 /// A daemon over a degree-reordered graph answers in original ids: its miss
 /// and hit frames both equal the serial `index query` answer mapped back
 /// through the permutation and canonicalized, as `--labels-out` writes it.
