@@ -91,11 +91,14 @@ fn assert_index_bits_eq(a: &SimilarityIndex, b: &SimilarityIndex) {
         assert_eq!(bits(sa), bits(sb), "σ bits of {v}");
     }
     for mu in 1..=a.mu_max().max(b.mu_max()) {
-        let (va, ta) = a.core_order(mu);
-        let (vb, tb) = b.core_order(mu);
+        let (va, vb) = (a.core_order(mu), b.core_order(mu));
         assert_eq!(va, vb, "core order at mu={mu}");
-        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(ta), bits(tb), "thresholds at mu={mu}");
+        let bits = |x: &SimilarityIndex| {
+            va.iter()
+                .map(|&v| x.core_threshold(v, mu).map(f64::to_bits))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(a), bits(b), "thresholds at mu={mu}");
     }
 }
 

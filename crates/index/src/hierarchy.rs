@@ -51,7 +51,7 @@ impl EpsilonHierarchy {
         assert!(mu >= 1);
         let n = idx.num_vertices();
         let core_threshold: Vec<f64> = (0..n as VertexId)
-            .map(|v| idx.neighbor_order(v).1.get(mu - 1).copied().unwrap_or(0.0))
+            .map(|v| idx.core_threshold(v, mu).unwrap_or(0.0))
             .collect();
         let is_candidate = |v: VertexId| idx.neighbor_order(v).0.len() >= mu;
 

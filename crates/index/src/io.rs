@@ -26,7 +26,9 @@
 //! sig           arcs × f64
 //! co_offsets    (mu_max+1) × u64
 //! co_vertices   arcs × u32
-//! co_thresholds arcs × f64
+//! co_thresholds arcs × f64    cθ_μ of each co_vertices entry: derived from
+//!                            the neighbor orders on write, checked against
+//!                            them and dropped on read (never held in memory)
 //! checksum      u64          v2+: FNV-1a over all preceding bytes
 //! ```
 //!
@@ -38,7 +40,7 @@
 //! dropped — the file loads as an `Off` index.
 //!
 //! `read_index` re-validates every structural invariant (sorted orders,
-//! offset monotonicity, threshold/neighbor-order consistency): index files
+//! offset monotonicity, core-order sizes, stored thresholds): index files
 //! live in the same untrusted build cache as the graphs, and a corrupted
 //! order would silently mis-cluster rather than crash.
 
@@ -89,7 +91,12 @@ pub fn write_index<W: Write>(idx: &SimilarityIndex, mut writer: W) -> Result<(),
     framing::put_f64_array(&mut buf, &idx.sig);
     framing::put_usize_array(&mut buf, &idx.co_offsets);
     framing::put_u32_array(&mut buf, &idx.co_vertices);
-    framing::put_f64_array(&mut buf, &idx.co_thresholds);
+    // The threshold section is derived from the neighbor orders.
+    for mu in 1..=mu_max {
+        for &v in idx.core_order(mu) {
+            buf.put_f64_le(idx.core_threshold(v, mu).expect("deg(v) ≥ μ"));
+        }
+    }
     framing::put_checksum_trailer(&mut buf);
     let mut out: Vec<u8> = buf.into();
     anyscan_faults::inject_write("index::write_index", &mut out)?;
@@ -169,10 +176,9 @@ pub fn read_index<R: Read>(mut reader: R) -> Result<SimilarityIndex, GraphError>
     let sig = framing::get_f64_array(&mut buf, arcs)?;
     let co_offsets = framing::get_offsets(&mut buf, mu_max)?;
     let co_vertices = framing::get_u32_array(&mut buf, arcs)?;
-    let co_thresholds = framing::get_f64_array(&mut buf, arcs)?;
-
+    framing::need(&buf, arcs * 8)?;
+    let mut stored = buf.chunk()[..arcs * 8].chunks_exact(8);
     framing::check_offsets(&offsets, arcs, "neighbor orders")?;
-    framing::check_offsets(&co_offsets, arcs, "core orders")?;
 
     let fail = |msg: String| Err(GraphError::Format(msg));
 
@@ -200,53 +206,47 @@ pub fn read_index<R: Read>(mut reader: R) -> Result<SimilarityIndex, GraphError>
         }
     }
 
-    // Core orders: each μ-slice holds exactly the vertices of closed degree
-    // ≥ μ (count check), sorted by non-increasing threshold with ascending
-    // ids among ties (which also forbids duplicates), and every threshold
-    // must equal the μ-th largest σ of its vertex's neighbor order.
-    let degree = |v: usize| offsets[v + 1] - offsets[v];
-    for mu in 1..=mu_max {
-        let r = co_offsets[mu - 1]..co_offsets[mu];
-        let expect = (0..n).filter(|&v| degree(v) >= mu).count();
-        if r.len() != expect {
-            return fail(format!(
-                "core order μ={mu}: {} entries, expected {expect}",
-                r.len()
-            ));
-        }
-        for i in r.clone() {
-            let v = co_vertices[i] as usize;
-            if v >= n {
-                return fail(format!("core order μ={mu}: vertex {v} out of range"));
-            }
-            if degree(v) < mu {
-                return fail(format!("core order μ={mu}: vertex {v} has degree < μ"));
-            }
-            if co_thresholds[i].to_bits() != sig[offsets[v] + mu - 1].to_bits() {
-                return fail(format!(
-                    "core order μ={mu}: threshold of vertex {v} disagrees with its neighbor order"
-                ));
-            }
-            if i > r.start {
-                let (pt, pv) = (co_thresholds[i - 1], co_vertices[i - 1]);
-                if co_thresholds[i] > pt || (co_thresholds[i] == pt && co_vertices[i] <= pv) {
-                    return fail(format!("core order μ={mu}: not sorted at position {i}"));
-                }
-            }
-        }
-    }
-
-    Ok(SimilarityIndex {
+    let idx = SimilarityIndex {
         offsets,
         nbr,
         sig,
         co_offsets,
         co_vertices,
-        co_thresholds,
         num_edges,
         reorder,
         sketches,
-    })
+    };
+
+    // Core orders: one per μ up to the largest closed degree, each holding
+    // exactly the vertices of closed degree ≥ μ (slice sizes, then the
+    // degree check), sorted by non-increasing threshold with ascending ids
+    // among ties (so no duplicates). Each stored threshold must be bit-equal
+    // to the derived one.
+    if idx.co_offsets != crate::core_order_offsets(&idx.offsets) {
+        return fail("core orders disagree with the closed degrees".into());
+    }
+    for mu in 1..=mu_max {
+        let mut prev: Option<(u32, f64)> = None;
+        for &v in idx.core_order(mu) {
+            if v as usize >= n {
+                return fail(format!("core order μ={mu}: vertex {v} out of range"));
+            }
+            let Some(t) = idx.core_threshold(v, mu) else {
+                return fail(format!("core order μ={mu}: vertex {v} has degree < μ"));
+            };
+            if stored.next() != Some(&t.to_le_bytes()[..]) {
+                return fail(format!(
+                    "core order μ={mu}: threshold of vertex {v} disagrees with its neighbor order"
+                ));
+            }
+            if prev.is_some_and(|(pv, pt)| t > pt || (t == pt && v <= pv)) {
+                return fail(format!("core order μ={mu}: not sorted at vertex {v}"));
+            }
+            prev = Some((v, t));
+        }
+    }
+
+    Ok(idx)
 }
 
 #[cfg(test)]
@@ -486,6 +486,34 @@ mod tests {
         // Unknown sketch-mode code.
         let err = read_index(&patched(&buf, SKETCH_BYTE, 7)[..]).unwrap_err();
         assert!(format!("{err}").contains("sketch mode"), "got: {err}");
+    }
+
+    #[test]
+    fn rejects_a_stored_threshold_that_disagrees_with_its_neighbor_order() {
+        let (_, idx) = sample_index();
+        let mut buf = Vec::new();
+        write_index(&idx, &mut buf).unwrap();
+        let end = buf.len() - framing::CHECKSUM_LEN;
+        let section = end - idx.num_arcs() * 8;
+        for entry in [0, idx.num_arcs() / 2, idx.num_arcs() - 1] {
+            // One ulp off: still a σ in [0, 1], possibly still sorted, but
+            // not the derived threshold.
+            let at = section + entry * 8;
+            let mut body = buf[..end].to_vec();
+            let stored = u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+            body[at..at + 8].copy_from_slice(&(stored ^ 1).to_le_bytes());
+            let err = read_index(&with_fresh_trailer(&body)[..]).unwrap_err();
+            assert!(matches!(err, GraphError::Format(_)), "entry {entry}: {err}");
+            assert!(
+                format!("{err}").contains("disagrees"),
+                "entry {entry}: {err}"
+            );
+        }
+        // Untouched, the same bytes load.
+        assert_eq!(
+            read_index(&with_fresh_trailer(&buf[..end])[..]).unwrap(),
+            idx
+        );
     }
 
     #[test]

@@ -23,10 +23,13 @@
 //! worker pool: σ is evaluated once per undirected edge by one dense row
 //! pass ([`sigma_row`](anyscan_scan_common::kernel::sigma_row)). The
 //! endpoint with the larger `(closed degree, id)` stamps its row and the
-//! shorter row is swept, so each edge costs `O(min(d_u, d_v))`. The value is
-//! mirrored to the opposite arc through the same symmetric arc indexing the
-//! edge-decision cache uses, then per-vertex and per-μ sorts run in
-//! parallel. [`SimilarityIndex::query`] unions similar core–core edges with
+//! shorter row is swept, so each edge costs `O(min(d_u, d_v))`. Rows land in
+//! the final arc-aligned arrays; one transpose-cursor walk mirrors each σ to
+//! the opposite arc, then per-vertex and per-μ slices are sorted in place in
+//! parallel. Each σ is stored once: core orders hold only vertex ids, and a
+//! threshold is read from its vertex's neighbor order
+//! ([`SimilarityIndex::core_threshold`]).
+//! [`SimilarityIndex::query`] unions similar core–core edges with
 //! `anyscan-dsu` and classifies borders, hubs and outliers with the shared
 //! role vocabulary, in time proportional to the touched prefixes — no σ is
 //! ever re-evaluated.
@@ -47,12 +50,12 @@ pub use repair::NeighborOrderPatch;
 
 use anyscan_dsu::DsuSeq;
 use anyscan_graph::{CsrGraph, ReorderMode, VertexId};
-use anyscan_parallel::{parallel_map_adaptive, parallel_map_with};
+use anyscan_parallel::{parallel_for_each_mut_with, parallel_map_adaptive};
 use anyscan_scan_common::kernel::{scores_edge, sigma_row};
 use anyscan_scan_common::sketch::{DEFAULT_BITS, DEFAULT_ROWS};
 use anyscan_scan_common::{
-    AtomicEdgeCache, BatchScratch, Clustering, NeighborhoodSketches, Role, ScanParams, SketchMode,
-    NOISE, UNCLASSIFIED,
+    BatchScratch, Clustering, NeighborhoodSketches, Role, ScanParams, SketchMode, NOISE,
+    UNCLASSIFIED,
 };
 use anyscan_telemetry::{Counter, Recorder, Telemetry};
 
@@ -88,7 +91,7 @@ impl Default for IndexBuildOptions {
 ///
 /// All arrays are CSR-shaped: `offsets` delimits per-vertex neighbor-order
 /// slices of `nbr`/`sig`, and `co_offsets` delimits per-μ core-order slices
-/// of `co_vertices`/`co_thresholds` (μ ∈ `1..=mu_max`, slice `μ-1`).
+/// of `co_vertices` (μ ∈ `1..=mu_max`, slice `μ-1`). Each σ is stored once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimilarityIndex {
     /// Per-vertex slice bounds, identical layout to the graph's CSR offsets.
@@ -98,13 +101,12 @@ pub struct SimilarityIndex {
     nbr: Vec<VertexId>,
     /// σ values parallel to `nbr` (non-increasing per vertex).
     sig: Vec<f64>,
-    /// Per-μ slice bounds into `co_vertices`/`co_thresholds`.
+    /// Per-μ slice bounds into `co_vertices`.
     co_offsets: Vec<usize>,
     /// For each μ: vertices with closed degree ≥ μ, sorted by descending
-    /// `cθ_μ` (ties: ascending id).
+    /// `cθ_μ` (ties: ascending id). The thresholds themselves are not
+    /// stored: each is read from `sig` by [`SimilarityIndex::core_threshold`].
     co_vertices: Vec<VertexId>,
-    /// `cθ_μ(v)` values parallel to `co_vertices`.
-    co_thresholds: Vec<f64>,
     /// Undirected edge count of the indexed graph (fingerprint, with
     /// `offsets`, against querying a different graph).
     num_edges: u64,
@@ -115,7 +117,7 @@ pub struct SimilarityIndex {
     /// original ids — see the CLI's `index` command.
     reorder: ReorderMode,
     /// MinHash signatures of every closed neighborhood, present exactly
-    /// when the σ values in `sig`/`co_thresholds` are sketch estimates
+    /// when the σ values in `sig` are sketch estimates
     /// ([`SketchMode::Approx`]; serialized in the ASIX v4 signature section).
     sketches: Option<NeighborhoodSketches>,
 }
@@ -143,7 +145,6 @@ impl SimilarityIndex {
     ) -> Self {
         let _span = telemetry.span("index_build");
         let n = g.num_vertices();
-        let arcs = g.num_arcs();
 
         // MinHash signatures: in approx mode the sole source of every σ below.
         let sketches = match opts.sketch {
@@ -160,42 +161,38 @@ impl SimilarityIndex {
             }
         };
 
-        // σ once per undirected edge, arc-aligned per vertex: each edge is
-        // scored by its owner (`scores_edge`), so no pair is computed twice
-        // and no slot is contended. The other arc holds NaN until the
-        // neighbor-order pass reads the owner's value through it.
-        let rows: Vec<Vec<f64>> = if let Some(sk) = &sketches {
-            // Approx: the estimate *is* the σ — O(signature) per pair, the
-            // adjacency lists are only read by the sketch builder above.
+        // Neighbor orders start as the adjacency itself, so `offsets` are
+        // the graph's CSR offsets and every array below is arc-aligned.
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut nbr = Vec::with_capacity(g.num_arcs());
+        offsets.push(0);
+        for u in g.vertices() {
+            nbr.extend_from_slice(g.neighbor_ids(u));
+            offsets.push(nbr.len());
+        }
+
+        // σ once per undirected edge, written into the arc of the endpoint
+        // that scores it (`scores_edge`); the other arc holds NaN until the
+        // mirror walk. Exact: one dense stamp of the owner's row, one sweep
+        // of each shorter row, one scratch per worker. Approx: the estimate
+        // *is* the σ, O(signature) per pair, and needs no scratch.
+        let mut sig = vec![f64::NAN; nbr.len()];
+        {
             let _s = telemetry.span("index_sigma");
-            parallel_map_adaptive(threads, n, |u| {
+            let init = || BatchScratch::new(if sketches.is_some() { 0 } else { n });
+            let rows = &mut split_rows(&mut sig, &offsets);
+            parallel_for_each_mut_with(threads, rows, init, |scratch, u, row| {
                 let u = u as VertexId;
-                g.neighbor_ids(u)
-                    .iter()
-                    .map(|&v| {
-                        if scores_edge(g, u, v) {
-                            sk.sigma_estimate(g, u, v)
-                        } else {
-                            f64::NAN
-                        }
-                    })
-                    .collect()
-            })
-        } else {
-            // Exact: one dense stamp of the owner's row, one sweep of each
-            // shorter row. The scratch is per worker, reused across its rows.
-            let _s = telemetry.span("index_sigma");
-            parallel_map_with(
-                threads,
-                n,
-                || BatchScratch::new(n),
-                |scratch, u| {
-                    let mut row = Vec::with_capacity(g.degree(u as VertexId));
-                    sigma_row(g, u as VertexId, scratch, &mut row);
-                    row
-                },
-            )
-        };
+                let Some(sk) = &sketches else {
+                    return sigma_row(g, u, scratch, row);
+                };
+                for (s, &v) in row.iter_mut().zip(g.neighbor_ids(u)) {
+                    if scores_edge(g, u, v) {
+                        *s = sk.sigma_estimate(g, u, v);
+                    }
+                }
+            });
+        }
         telemetry.add(Counter::IndexSigmaEvals, g.num_edges());
         // Kernel-path attribution: every edge was decided by a sketch or by
         // the batched row pass.
@@ -206,104 +203,59 @@ impl SimilarityIndex {
         };
         telemetry.add(path, g.num_edges());
 
-        // Neighbor orders: copy the rows into one arc-aligned array, read
-        // each unowned (NaN) arc's σ from the owner's slot through the
-        // symmetric arc index (the same lookup the edge-decision cache stores
-        // through), then sort each closed neighborhood by descending σ.
-        let mut sig_by_arc = vec![0.0f64; arcs];
-        for u in g.vertices() {
-            sig_by_arc[g.arc_range(u)].copy_from_slice(&rows[u as usize]);
-        }
-        drop(rows);
-        let sorted: Vec<Vec<(VertexId, f64)>> = {
+        {
             let _s = telemetry.span("index_neighbor_orders");
-            parallel_map_adaptive(threads, n, |u| {
-                let u = u as VertexId;
-                let row = &sig_by_arc[g.arc_range(u)];
-                let mut order: Vec<(VertexId, f64)> = g
-                    .neighbor_ids(u)
-                    .iter()
-                    .zip(row)
-                    .map(|(&v, &s)| {
-                        let s = if v == u {
-                            1.0
-                        } else if !s.is_nan() {
-                            s
-                        } else {
-                            let mirror = AtomicEdgeCache::arc_index(g, v, u)
-                                .expect("CSR adjacency is symmetric");
-                            sig_by_arc[mirror]
-                        };
-                        (v, s)
-                    })
-                    .collect();
-                order.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                order
-            })
-        };
-        drop(sig_by_arc);
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut nbr = Vec::with_capacity(arcs);
-        let mut sig = Vec::with_capacity(arcs);
-        offsets.push(0);
-        for order in &sorted {
-            for &(v, s) in order {
-                nbr.push(v);
-                sig.push(s);
-            }
-            offsets.push(nbr.len());
-        }
-        drop(sorted);
-
-        // Core orders. Vertices sorted by descending closed degree make the
-        // μ-candidates (deg ≥ μ) a prefix, so the total sorting work is
-        // Σ_μ |{v : deg(v) ≥ μ}| log(·) = O(arcs log n), not O(n · μ_max).
-        let _s = telemetry.span("index_core_orders");
-        let mu_max = (0..n)
-            .map(|v| offsets[v + 1] - offsets[v])
-            .max()
-            .unwrap_or(0);
-        let mut by_degree: Vec<VertexId> = (0..n as VertexId).collect();
-        by_degree.sort_by_key(|&v| {
-            let deg = offsets[v as usize + 1] - offsets[v as usize];
-            (std::cmp::Reverse(deg), v)
-        });
-        let count_ge = |mu: usize| {
-            by_degree.partition_point(|&v| offsets[v as usize + 1] - offsets[v as usize] >= mu)
-        };
-        let per_mu: Vec<Vec<(VertexId, f64)>> = parallel_map_adaptive(threads, mu_max, |m| {
-            let mu = m + 1;
-            let mut order: Vec<(VertexId, f64)> = by_degree[..count_ge(mu)]
-                .iter()
-                .map(|&v| (v, sig[offsets[v as usize] + mu - 1]))
+            mirror_arcs(&offsets, &nbr, &mut sig);
+            // Sort each closed neighborhood by descending σ, in place.
+            let mut rows: Vec<_> = split_rows(&mut nbr, &offsets)
+                .into_iter()
+                .zip(split_rows(&mut sig, &offsets))
                 .collect();
-            order.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            order
-        });
-        let mut co_offsets = Vec::with_capacity(mu_max + 1);
-        let mut co_vertices = Vec::with_capacity(arcs);
-        let mut co_thresholds = Vec::with_capacity(arcs);
-        co_offsets.push(0);
-        for order in &per_mu {
-            for &(v, t) in order {
-                co_vertices.push(v);
-                co_thresholds.push(t);
-            }
-            co_offsets.push(co_vertices.len());
+            parallel_for_each_mut_with(threads, &mut rows, Vec::new, |pairs, _, (ids, sigs)| {
+                pairs.clear();
+                pairs.extend(ids.iter().copied().zip(sigs.iter().copied()));
+                pairs.sort_unstable_by(order_cmp);
+                for ((id, s), &(q, t)) in ids.iter_mut().zip(sigs.iter_mut()).zip(pairs.iter()) {
+                    (*id, *s) = (q, t);
+                }
+            });
         }
 
-        SimilarityIndex {
+        // Core orders: scatter each vertex into its slices in vertex-id
+        // order, so every slice starts ascending by id, then sort each slice
+        // in place by descending `cθ_μ` (ties: ascending id).
+        let _s = telemetry.span("index_core_orders");
+        let co_offsets = core_order_offsets(&offsets);
+        let mut co_vertices = vec![0; nbr.len()];
+        let mut cursor = co_offsets.clone();
+        for (v, w) in offsets.windows(2).enumerate() {
+            for slot in &mut cursor[..w[1] - w[0]] {
+                co_vertices[*slot] = v as VertexId;
+                *slot += 1;
+            }
+        }
+        let mut idx = SimilarityIndex {
             offsets,
             nbr,
             sig,
             co_offsets,
-            co_vertices,
-            co_thresholds,
+            co_vertices: Vec::new(),
             num_edges: g.num_edges(),
             reorder: ReorderMode::None,
             sketches,
-        }
+        };
+        let mut slices = split_rows(&mut co_vertices, &idx.co_offsets);
+        parallel_for_each_mut_with(threads, &mut slices, Vec::new, |keyed, m, verts| {
+            keyed.clear();
+            let threshold = |v| idx.core_threshold(v, m + 1).expect("slice μ has deg ≥ μ");
+            keyed.extend(verts.iter().map(|&v| (v, threshold(v))));
+            keyed.sort_unstable_by(order_cmp);
+            for (slot, &(v, _)) in verts.iter_mut().zip(keyed.iter()) {
+                *slot = v;
+            }
+        });
+        idx.co_vertices = co_vertices;
+        idx
     }
 
     /// Tags the index with the [`ReorderMode`] its graph was relabeled
@@ -362,12 +314,19 @@ impl SimilarityIndex {
         (&self.nbr[r.clone()], &self.sig[r])
     }
 
-    /// The core order for `μ` (`1 ≤ μ ≤ mu_max`): `(vertices, cθ_μ values)`,
-    /// thresholds non-increasing.
-    pub fn core_order(&self, mu: usize) -> (&[VertexId], &[f64]) {
+    /// The core order for `μ` (`1 ≤ μ ≤ mu_max`): the vertices of closed
+    /// degree ≥ μ by non-increasing [`core_threshold`](Self::core_threshold)
+    /// (ties: ascending id).
+    pub fn core_order(&self, mu: usize) -> &[VertexId] {
         assert!((1..=self.mu_max()).contains(&mu), "μ = {mu} out of range");
-        let r = self.co_offsets[mu - 1]..self.co_offsets[mu];
-        (&self.co_vertices[r.clone()], &self.co_thresholds[r])
+        &self.co_vertices[self.co_offsets[mu - 1]..self.co_offsets[mu]]
+    }
+
+    /// `v`'s core threshold `cθ_μ(v)`: the μ-th largest σ of its neighbor
+    /// order, `None` when its closed degree is below μ. `v` is a core at
+    /// (ε, μ) iff this is at least ε.
+    pub fn core_threshold(&self, v: VertexId, mu: usize) -> Option<f64> {
+        self.neighbor_order(v).1.get(mu.checked_sub(1)?).copied()
     }
 
     /// Checks that `g` is plausibly the graph this index was built from
@@ -465,8 +424,9 @@ impl SimilarityIndex {
 
         // Cores: the prefix of the μ core order with cθ_μ ≥ ε.
         let cores: &[VertexId] = if params.mu <= self.mu_max() {
-            let (co_verts, co_th) = self.core_order(params.mu);
-            &co_verts[..co_th.partition_point(|&t| t >= eps)]
+            let co_verts = self.core_order(params.mu);
+            &co_verts[..co_verts
+                .partition_point(|&v| self.core_threshold(v, params.mu).is_some_and(|t| t >= eps))]
         } else {
             &[]
         };
@@ -618,6 +578,71 @@ impl SimilarityIndex {
     }
 }
 
+/// Descending-σ, ascending-id ordering: the one comparator every neighbor
+/// order and core order is sorted by (ids are distinct within an order, so
+/// the sorted result is unique).
+fn order_cmp(a: &(VertexId, f64), b: &(VertexId, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// The core orders' slice bounds for the neighbor orders' monotone
+/// `offsets`: slice μ−1 holds the vertices of closed degree ≥ μ, counted by
+/// one degree histogram and its suffix sums.
+fn core_order_offsets(offsets: &[usize]) -> Vec<usize> {
+    let degrees = offsets.windows(2).map(|w| w[1] - w[0]);
+    let mut count_ge = vec![0usize; degrees.clone().max().unwrap_or(0) + 1];
+    for d in degrees {
+        count_ge[d] += 1;
+    }
+    for mu in (1..count_ge.len() - 1).rev() {
+        count_ge[mu] += count_ge[mu + 1];
+    }
+    let mut co_offsets = vec![0];
+    for (mu, &count) in count_ge.iter().enumerate().skip(1) {
+        co_offsets.push(co_offsets[mu - 1] + count);
+    }
+    co_offsets
+}
+
+/// Splits `data` into the consecutive rows that the CSR-style `bounds`
+/// delimit (`bounds[0] == 0`, `bounds.last() == data.len()`).
+fn split_rows<'a, T>(mut data: &'a mut [T], bounds: &[usize]) -> Vec<&'a mut [T]> {
+    bounds
+        .windows(2)
+        .map(|w| {
+            let (row, rest) = std::mem::take(&mut data).split_at_mut(w[1] - w[0]);
+            data = rest;
+            row
+        })
+        .collect()
+}
+
+/// Completes the arc-aligned σ array of the symmetric CSR `offsets`/`nbr`:
+/// σ = 1 on each self-loop, and each edge's NaN arc gets the owner's value
+/// from the reverse arc. One transpose-cursor walk, as in the graph
+/// validator: rows go in ascending order, and each arc `(u, v)` with `v > u`
+/// finds `(v, u)` at `cursor[v]`, so row `u`'s cursor reaches its self-loop
+/// right after its arcs to smaller ids.
+fn mirror_arcs(offsets: &[usize], nbr: &[VertexId], sig: &mut [f64]) {
+    let mut cursor = offsets[..offsets.len() - 1].to_vec();
+    for u in 0..cursor.len() {
+        let me = cursor[u];
+        debug_assert_eq!(nbr[me] as usize, u, "row {u}: cursor not on its self-loop");
+        sig[me] = 1.0;
+        for i in me + 1..offsets[u + 1] {
+            let v = nbr[i] as usize;
+            let back = cursor[v];
+            debug_assert_eq!(nbr[back] as usize, u, "reverse arc of ({u},{v})");
+            cursor[v] += 1;
+            let s = if sig[i].is_nan() { sig[back] } else { sig[i] };
+            (sig[i], sig[back]) = (s, s);
+        }
+    }
+}
+
+#[cfg(test)]
+mod reference;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,13 +708,17 @@ mod tests {
         let mu_max = g.vertices().map(|v| g.degree(v)).max().unwrap();
         assert_eq!(idx.mu_max(), mu_max);
         for mu in 1..=mu_max {
-            let (verts, ths) = idx.core_order(mu);
+            let verts = idx.core_order(mu);
             let expect: usize = g.vertices().filter(|&v| g.degree(v) >= mu).count();
             assert_eq!(verts.len(), expect, "μ={mu} membership");
-            for w in ths.windows(2) {
-                assert!(w[0] >= w[1], "cθ not descending at μ={mu}");
+            let ths: Vec<f64> = verts
+                .iter()
+                .map(|&v| idx.core_threshold(v, mu).unwrap())
+                .collect();
+            for (w, v) in ths.windows(2).zip(verts.windows(2)) {
+                assert!(w[0] > w[1] || (w[0] == w[1] && v[0] < v[1]), "μ={mu} order");
             }
-            for (&v, &t) in verts.iter().zip(ths) {
+            for (&v, &t) in verts.iter().zip(&ths) {
                 let (_, sigs) = idx.neighbor_order(v);
                 assert_eq!(t.to_bits(), sigs[mu - 1].to_bits(), "cθ_{mu}({v})");
             }
@@ -991,6 +1020,60 @@ mod tests {
                 (g, idx)
             });
             assert_canonical(g, idx, ScanParams::new(eps, mu));
+        }
+    }
+
+    /// The flat build against the collect-then-flatten reference, σ bits
+    /// included (`==` alone would let `0.0 == -0.0` pass).
+    fn assert_matches_reference(g: &CsrGraph, sketch: SketchMode) {
+        let opts = IndexBuildOptions {
+            sketch,
+            sketch_rows: 64,
+            ..Default::default()
+        };
+        let want = reference::build(g, opts);
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 2, 8] {
+            let got = SimilarityIndex::build_with_options(g, threads, opts, &Telemetry::disabled());
+            assert_eq!(got, want, "{threads} threads, {sketch:?}");
+            assert_eq!(
+                bits(&got.sig),
+                bits(&want.sig),
+                "{threads} threads, {sketch:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn flat_build_equals_reference_on_random_graphs(
+            seed in 0u64..u64::MAX,
+            n in 0usize..200,
+            avg_degree in 0usize..16,
+            unit in 0u8..2,
+            approx in 0u8..2,
+        ) {
+            let weights = if unit == 1 { WeightModel::Unit } else { WeightModel::uniform_default() };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = erdos_renyi(&mut rng, n, n * avg_degree / 2, weights);
+            let sketch = if approx == 1 { SketchMode::Approx } else { SketchMode::Off };
+            assert_matches_reference(&g, sketch);
+        }
+
+        #[test]
+        fn flat_build_equals_reference_on_rmat(seed in 0u64..u64::MAX, scale in 4u32..10) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = rmat(&mut rng, &RmatParams::graph500(scale, 8));
+            assert_matches_reference(&g, SketchMode::Off);
+        }
+    }
+
+    #[test]
+    fn flat_build_equals_reference_on_skewed_rmat() {
+        for sketch in [SketchMode::Off, SketchMode::Approx] {
+            assert_matches_reference(&skewed_rmat(), sketch);
         }
     }
 

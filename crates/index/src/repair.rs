@@ -23,7 +23,7 @@
 use anyscan_graph::VertexId;
 use anyscan_telemetry::{Counter, Recorder, Telemetry};
 
-use crate::SimilarityIndex;
+use crate::{order_cmp, SimilarityIndex};
 
 /// One vertex's complete post-update neighbor order: the closed neighborhood
 /// sorted by descending σ (ties: ascending id), the vertex itself included
@@ -37,12 +37,26 @@ pub struct NeighborOrderPatch {
     pub order: Vec<(VertexId, f64)>,
 }
 
-/// Descending-σ, ascending-id ordering — the exact comparator
-/// [`SimilarityIndex::build`] sorts with, so merge-repaired slices coincide
-/// with freshly sorted ones.
-#[inline]
-fn order_cmp(a: &(VertexId, f64), b: &(VertexId, f64)) -> std::cmp::Ordering {
-    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+/// For each key, the number of entries `0..len` ordered before it
+/// (`before(i, key)` must be monotone in `i`). One branchless binary search
+/// per key, all run in lockstep: each round probes every key once, so the
+/// loads of different searches overlap instead of waiting on each other.
+fn lower_bounds<K>(len: usize, keys: &[K], before: impl Fn(usize, &K) -> bool) -> Vec<usize> {
+    let mut base = vec![0usize; keys.len()];
+    let mut size = len;
+    while size > 1 {
+        let half = size / 2;
+        for (b, key) in base.iter_mut().zip(keys) {
+            *b += half * before(*b + half, key) as usize;
+        }
+        size -= half;
+    }
+    if len > 0 {
+        for (b, key) in base.iter_mut().zip(keys) {
+            *b += before(*b, key) as usize;
+        }
+    }
+    base
 }
 
 impl SimilarityIndex {
@@ -107,11 +121,11 @@ impl SimilarityIndex {
         let mut removals: Vec<(usize, (VertexId, f64))> = Vec::new();
         let mut insertions: Vec<(usize, (VertexId, f64))> = Vec::new();
         for p in &by_vertex {
-            let old = self.neighbor_order(p.vertex).1;
+            let old_deg = self.neighbor_order(p.vertex).0.len();
             let new_deg = p.order.len();
-            for mu in 1..=old.len().max(new_deg) {
-                let old_t = old.get(mu - 1).copied();
-                let new_t = (mu <= new_deg).then(|| p.order[mu - 1].1);
+            for mu in 1..=old_deg.max(new_deg) {
+                let old_t = self.core_threshold(p.vertex, mu);
+                let new_t = p.order.get(mu - 1).map(|&(_, t)| t);
                 match (old_t, new_t) {
                     (Some(o), Some(t)) if o.to_bits() == t.to_bits() => {}
                     (old_t, new_t) => {
@@ -163,73 +177,49 @@ impl SimilarityIndex {
         copy_rows(next, n, &mut offsets, &mut nbr, &mut sig);
 
         // Core orders: μ slices with no change are copied whole; a changed
-        // slice is copied in the runs between its edits — each removal and
-        // insertion is located by binary search in the old slice, which is
-        // sorted by the same comparator — so its cost is the copy plus
-        // O(log) per edit, never a per-element probe and never a re-sort.
-        let old_mu_max = self.mu_max();
-        let new_mu_max = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-        let mut co_offsets = Vec::with_capacity(new_mu_max + 1);
+        // slice is copied in the runs between its edits, each located by
+        // binary search in the old slice (sorted by the same comparator), so
+        // its cost is the copy plus O(log) per edit, never a re-sort.
+        let co_offsets = crate::core_order_offsets(&offsets);
         let mut co_vertices = Vec::with_capacity(new_arcs);
-        let mut co_thresholds = Vec::with_capacity(new_arcs);
-        co_offsets.push(0);
         let (mut ri, mut ii) = (0usize, 0usize);
-        for mu in 1..=new_mu_max {
-            let (old_v, old_t): (&[VertexId], &[f64]) = if mu <= old_mu_max {
-                self.core_order(mu)
-            } else {
-                (&[], &[])
-            };
+        for (mu, &end) in co_offsets.iter().enumerate().skip(1) {
+            let old_v = (mu <= self.mu_max()).then(|| self.core_order(mu));
+            let old_v = old_v.unwrap_or_default();
             let rem_end = ri + removals[ri..].partition_point(|&(m, _)| m == mu);
             let ins_end = ii + insertions[ii..].partition_point(|&(m, _)| m == mu);
-            let (mut rem, mut ins) = (&removals[ri..rem_end], &insertions[ii..ins_end]);
+            let (rem, ins) = (&removals[ri..rem_end], &insertions[ii..ins_end]);
             (ri, ii) = (rem_end, ins_end);
-            // Position of the first old entry not ordered before `e`, at or
-            // after `from`: for a removal, the entry itself.
-            let seek = |from: usize, e: &(VertexId, f64)| {
-                let (mut lo, mut hi) = (from, old_v.len());
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if order_cmp(&(old_v[mid], old_t[mid]), e).is_lt() {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
+            // Each edit's position in the old slice (a removal's entry, or
+            // the first old entry not ordered before an insertion), with the
+            // old thresholds read from the old neighbor orders.
+            let positions = |edits: &[(usize, (VertexId, f64))]| {
+                lower_bounds(old_v.len(), edits, |i, (_, e)| {
+                    let v = old_v[i];
+                    let t = self.core_threshold(v, mu).expect("slice μ has deg ≥ μ");
+                    order_cmp(&(v, t), e).is_lt()
+                })
             };
-            let mut at = 0usize;
+            let (rem_at, ins_at) = (positions(rem), positions(ins));
+            let (mut at, mut r, mut i) = (0usize, 0usize, 0usize);
             loop {
-                let next_rem = rem.first().map(|r| seek(at, &r.1));
-                let next_ins = ins.first().map(|i| (seek(at, &i.1), i.1));
-                let pos = match (next_rem, next_ins) {
-                    (None, None) => break,
-                    (Some(r), Some((p, _))) => r.min(p),
-                    (Some(r), None) => r,
-                    (None, Some((p, _))) => p,
-                };
-                co_vertices.extend_from_slice(&old_v[at..pos]);
-                co_thresholds.extend_from_slice(&old_t[at..pos]);
-                at = pos;
-                match next_ins {
-                    // An insertion lands before the old entry at `pos` (if
-                    // that entry is removed, the order between the two is
-                    // immaterial: only the insertion is emitted).
-                    Some((p, (v, t))) if p == pos => {
-                        co_vertices.push(v);
-                        co_thresholds.push(t);
-                        ins = &ins[1..];
-                    }
-                    _ => {
-                        debug_assert_eq!(old_v[pos], rem[0].1 .0, "removal must be present");
-                        at = pos + 1;
-                        rem = &rem[1..];
-                    }
+                // An insertion lands before the old entry at its position
+                // (if that entry is removed, the order between the two is
+                // immaterial: only the insertion is emitted).
+                if i < ins.len() && (r == rem.len() || ins_at[i] <= rem_at[r]) {
+                    co_vertices.extend_from_slice(&old_v[at..ins_at[i]]);
+                    co_vertices.push(ins[i].1 .0);
+                    (at, i) = (ins_at[i], i + 1);
+                } else if r < rem.len() {
+                    debug_assert_eq!(old_v[rem_at[r]], rem[r].1 .0, "removal must be present");
+                    co_vertices.extend_from_slice(&old_v[at..rem_at[r]]);
+                    (at, r) = (rem_at[r] + 1, r + 1);
+                } else {
+                    break;
                 }
             }
             co_vertices.extend_from_slice(&old_v[at..]);
-            co_thresholds.extend_from_slice(&old_t[at..]);
-            co_offsets.push(co_vertices.len());
+            debug_assert_eq!(co_vertices.len(), end, "core order μ={mu} size");
         }
 
         telemetry.add(Counter::DynIndexRepairs, patches.len() as u64);
@@ -239,7 +229,6 @@ impl SimilarityIndex {
             sig,
             co_offsets,
             co_vertices,
-            co_thresholds,
             num_edges,
             reorder: self.reorder,
             sketches: None,
@@ -298,7 +287,6 @@ mod tests {
         assert_eq!(bits(&repaired.sig), bits(&fresh.sig));
         assert_eq!(repaired.co_offsets, fresh.co_offsets);
         assert_eq!(repaired.co_vertices, fresh.co_vertices);
-        assert_eq!(bits(&repaired.co_thresholds), bits(&fresh.co_thresholds));
         assert_eq!(repaired.num_edges, fresh.num_edges);
     }
 
@@ -437,6 +425,23 @@ mod tests {
         let r = t.report().unwrap();
         assert_eq!(r.counter(Counter::DynIndexRepairs), count);
         assert!(r.span_total("index_repair").is_some());
+    }
+
+    #[test]
+    fn lockstep_lower_bounds_match_partition_point() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(35);
+        for len in [0usize, 1, 2, 3, 7, 64, 1000] {
+            let mut sorted: Vec<u32> = (0..len).map(|_| rng.gen_range(0..50u32)).collect();
+            sorted.sort_unstable();
+            let keys: Vec<u32> = (0..40).map(|_| rng.gen_range(0..52u32)).collect();
+            let got = lower_bounds(len, &keys, |i, &k| sorted[i] < k);
+            let want: Vec<usize> = keys
+                .iter()
+                .map(|&k| sorted.partition_point(|&x| x < k))
+                .collect();
+            assert_eq!(got, want, "len {len}");
+        }
     }
 
     #[test]

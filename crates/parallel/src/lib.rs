@@ -16,12 +16,14 @@
 //! * [`parallel_for_adaptive`] — same with guided chunk sizing: each claim
 //!   takes `remaining / (2 · threads)` indices (clamped), so early chunks
 //!   are large (low counter traffic) and late chunks small (load balance);
-//! * [`parallel_map_dynamic`] / [`parallel_map_adaptive`] — collect one
-//!   output per index into a `Vec<T>` without locks (each claimed chunk owns
-//!   a disjoint slice of the output);
+//! * [`parallel_map_adaptive`] — collect one output per index into a
+//!   `Vec<T>` without locks (each claimed chunk owns a disjoint slice of the
+//!   output);
 //! * [`parallel_map_with`] — map with a per-worker scratch value threaded
 //!   through every call on that worker (at most one `init()` per worker per
 //!   call site — reuses allocations such as ε-neighborhood buffers);
+//! * [`parallel_for_each_mut_with`] — the same, in place: each index gets
+//!   `&mut` to its own element of a slice (e.g. one row of a flat array);
 //! * [`parallel_reduce_dynamic`] / [`parallel_reduce_adaptive`] — fold into
 //!   one accumulator per worker, returned for the caller to merge.
 //!
@@ -589,24 +591,15 @@ where
     WorkerPool::global().run(threads, n, ChunkPolicy::Adaptive, |_, range| body(range));
 }
 
-/// Maps `f` over `0..n` with dynamic scheduling, returning the outputs in
-/// index order. Lock-free: each claimed chunk writes a disjoint slice of the
-/// output buffer.
-pub fn parallel_map_dynamic<T, F>(threads: usize, n: usize, chunk: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    map_impl(threads, n, ChunkPolicy::Fixed(chunk), |_, i| f(i))
-}
-
-/// [`parallel_map_dynamic`] with guided (adaptive) chunk sizing.
+/// Maps `f` over `0..n` with guided (adaptive) scheduling, returning the
+/// outputs in index order. Lock-free: each claimed chunk writes a disjoint
+/// slice of the output buffer.
 pub fn parallel_map_adaptive<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    map_impl(threads, n, ChunkPolicy::Adaptive, |_, i| f(i))
+    parallel_map_with(threads, n, || (), |_, i| f(i))
 }
 
 /// Maps `f` over `0..n` (adaptive scheduling) with a per-worker scratch
@@ -620,31 +613,6 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    let t = effective_threads(threads, n);
-    if t == 1 {
-        let mut scratch = init();
-        return (0..n).map(|i| f(&mut scratch, i)).collect();
-    }
-    // One scratch per slot; the mutex is uncontended (slots are exclusive)
-    // and exists only to move `S` across the thread boundary safely.
-    let scratches: Vec<Mutex<Option<S>>> = (0..t).map(|_| Mutex::new(None)).collect();
-    let out = map_impl(threads, n, ChunkPolicy::Adaptive, |slot, i| {
-        let mut guard = lock_pool(&scratches[slot]);
-        let scratch = guard.get_or_insert_with(&init);
-        f(scratch, i)
-    });
-    out
-}
-
-fn map_impl<T, F>(threads: usize, n: usize, policy: ChunkPolicy, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    let t = effective_threads(threads, n);
-    if t == 1 {
-        return (0..n).map(|i| f(0, i)).collect();
-    }
     let mut out: Vec<MaybeUninit<T>> = Vec::with_capacity(n);
     // SAFETY: `MaybeUninit` needs no initialization; every slot is written
     // exactly once below before the conversion (chunk claims partition 0..n;
@@ -654,16 +622,8 @@ where
     unsafe {
         out.set_len(n);
     }
-    let base = SendPtr(out.as_mut_ptr());
-    WorkerPool::global().run(threads, n, policy, |slot, range| {
-        let base = &base;
-        for i in range {
-            // SAFETY: `i` is claimed by exactly one participant, so this
-            // write is unaliased.
-            unsafe {
-                base.0.add(i).write(MaybeUninit::new(f(slot, i)));
-            }
-        }
+    parallel_for_each_mut_with(threads, &mut out, init, |scratch, i, slot| {
+        slot.write(f(scratch, i));
     });
     // SAFETY: all n slots were initialized (the chunk claims cover 0..n and
     // `run` returns only after every participant finished).
@@ -671,6 +631,37 @@ where
         let mut out = std::mem::ManuallyDrop::new(out);
         Vec::from_raw_parts(out.as_mut_ptr() as *mut T, n, out.capacity())
     }
+}
+
+/// Calls `f(scratch, i, &mut items[i])` for every index of `items`
+/// (adaptive scheduling): each call has its item to itself, and `scratch`
+/// is its worker's, made by `init` at most once per participating worker.
+/// The in-place counterpart of [`parallel_map_with`], e.g. over the
+/// disjoint row slices of one flat array.
+pub fn parallel_for_each_mut_with<T, S, I, F>(threads: usize, items: &mut [T], init: I, f: F)
+where
+    T: Send,
+    S: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut T) + Sync,
+{
+    let n = items.len();
+    // One scratch per slot, locked once per chunk: the mutex is uncontended
+    // and only moves `S` across the thread boundary safely.
+    let scratches: Vec<Mutex<Option<S>>> = (0..effective_threads(threads, n))
+        .map(|_| Mutex::new(None))
+        .collect();
+    let base = SendPtr(items.as_mut_ptr());
+    WorkerPool::global().run(threads, n, ChunkPolicy::Adaptive, |slot, range| {
+        let base = &base;
+        let mut guard = lock_pool(&scratches[slot]);
+        let scratch = guard.get_or_insert_with(&init);
+        for i in range {
+            // SAFETY: `i < n` is claimed by exactly one participant, so this
+            // `&mut` is unaliased, and `items` outlives `run`.
+            f(scratch, i, unsafe { &mut *base.0.add(i) });
+        }
+    });
 }
 
 /// Folds `0..n` into per-worker accumulators with dynamic scheduling and
@@ -729,7 +720,7 @@ where
 }
 
 /// A raw pointer that asserts cross-thread shareability for the disjoint
-/// writes in [`parallel_map_dynamic`].
+/// writes of [`parallel_for_each_mut_with`].
 struct SendPtr<T>(*mut T);
 // SAFETY: the pointer is only used for writes to indices each worker claims
 // exclusively via the shared atomic cursor.
@@ -817,7 +808,7 @@ mod tests {
     fn map_preserves_index_order() {
         for threads in [1usize, 2, 4] {
             for n in [0usize, 1, 17, 4096] {
-                let out = parallel_map_dynamic(threads, n, 5, |i| i * i);
+                let out = parallel_map_adaptive(threads, n, |i| i * i);
                 assert_eq!(out.len(), n);
                 for (i, v) in out.iter().enumerate() {
                     assert_eq!(*v, i * i);
@@ -828,7 +819,7 @@ mod tests {
 
     #[test]
     fn map_handles_non_copy_types_and_drops() {
-        let out = parallel_map_dynamic(4, 100, 7, |i| vec![i; 3]);
+        let out = parallel_map_adaptive(4, 100, |i| vec![i; 3]);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(v, &vec![i; 3]);
         }
@@ -866,6 +857,25 @@ mod tests {
         }
         // At most one scratch per participant, never one per index.
         assert!(inits.load(Ordering::Relaxed) <= effective_threads(threads, n));
+    }
+
+    #[test]
+    fn for_each_mut_hands_out_each_item_once() {
+        let inits = AtomicUsize::new(0);
+        for threads in [1usize, 2, 4] {
+            let mut data = vec![0usize; 1000];
+            let mut rows: Vec<&mut [usize]> = data.chunks_mut(7).collect();
+            parallel_for_each_mut_with(
+                threads,
+                &mut rows,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, i, row| row.iter_mut().for_each(|x| *x += i + 1),
+            );
+            let want: Vec<usize> = (0..1000).map(|j| j / 7 + 1).collect();
+            assert_eq!(data, want, "threads={threads}");
+        }
+        // At most one scratch per participant and run, never one per item.
+        assert!(inits.load(Ordering::Relaxed) <= 1 + 2 + 4);
     }
 
     #[test]

@@ -921,11 +921,11 @@ pub fn scores_edge(g: &CsrGraph, u: VertexId, v: VertexId) -> bool {
     (g.degree(u), u) > (g.degree(v), v)
 }
 
-/// Fills `out` with one entry per arc of `u`, in adjacency (ascending id)
-/// order: σ(u, v) where `u` scores the edge (see [`scores_edge`]) and `NaN`
+/// Fills `out` (`u`'s row: one entry per arc of `u`, in adjacency order)
+/// with σ(u, v) where `u` scores the edge (see [`scores_edge`]) and `NaN`
 /// on every other arc, `u`'s own included — the similarity-index build's
-/// one pass over the edges. The `NaN`s mark the arcs whose value lives in
-/// the other endpoint's row.
+/// one pass over the edges, written straight into its arc-aligned array.
+/// The `NaN`s mark the arcs whose value lives in the other endpoint's row.
 ///
 /// `u`'s closed neighborhood is stamped into `scratch` once, and only if
 /// `u` owns an edge; each owned `v` is then scored with one sweep of its
@@ -933,19 +933,19 @@ pub fn scores_edge(g: &CsrGraph, u: VertexId, v: VertexId) -> bool {
 /// merge-join, and the sweep's extra `+0.0` terms cannot perturb a partial
 /// sum that is never `-0.0`, so every value is bit-identical to
 /// [`sigma_raw`].
-pub fn sigma_row(g: &CsrGraph, u: VertexId, scratch: &mut BatchScratch, out: &mut Vec<f64>) {
+pub fn sigma_row(g: &CsrGraph, u: VertexId, scratch: &mut BatchScratch, out: &mut [f64]) {
     assert!(
         scratch.stamp.len() >= g.num_vertices(),
         "scratch sized for {} vertices, graph has {}",
         scratch.stamp.len(),
         g.num_vertices()
     );
+    assert_eq!(out.len(), g.degree(u), "row of {u} has one slot per arc");
     scratch.invalidate_row();
-    out.clear();
     let norm_u = g.norm_sq(u);
-    for &v in g.neighbor_ids(u) {
+    for (&v, out) in g.neighbor_ids(u).iter().zip(out) {
         if !scores_edge(g, u, v) {
-            out.push(f64::NAN);
+            *out = f64::NAN;
             continue;
         }
         let tag = scratch.stamp_row(g, u);
@@ -966,7 +966,7 @@ pub fn sigma_row(g: &CsrGraph, u: VertexId, scratch: &mut BatchScratch, out: &mu
                 num += *wv.get_unchecked(j) * m;
             }
         }
-        out.push(num / (norm_u * g.norm_sq(v)).sqrt());
+        *out = num / (norm_u * g.norm_sq(v)).sqrt();
     }
 }
 
@@ -1249,8 +1249,8 @@ mod tests {
         let mut scratch = BatchScratch::new(g.num_vertices());
         let mut scored = 0u64;
         let mut hub_rows = 0usize;
-        let mut row = Vec::new();
         for u in g.vertices() {
+            let mut row = vec![0.0; g.degree(u)];
             sigma_row(&g, u, &mut scratch, &mut row);
             assert_eq!(row.len(), g.degree(u), "row of {u}");
             for (&v, s) in g.neighbor_ids(u).iter().zip(&row) {
@@ -1277,8 +1277,8 @@ mod tests {
         let g = hubby_random_graph(5);
         let mut scratch = BatchScratch::new(g.num_vertices());
         scratch.tag = u32::MAX - 3;
-        let mut row = Vec::new();
         for u in g.vertices() {
+            let mut row = vec![0.0; g.degree(u)];
             sigma_row(&g, u, &mut scratch, &mut row);
             for (&v, s) in g.neighbor_ids(u).iter().zip(&row) {
                 if scores_edge(&g, u, v) {
@@ -1577,7 +1577,7 @@ mod tests {
                         prop_assert_eq!(s.to_bits(), expect, "bitmap σ({}, {})", u, v);
                     }
                 }
-                let mut row = Vec::new();
+                let mut row = vec![0.0; g.degree(u)];
                 sigma_row(&g, u, &mut scratch, &mut row);
                 prop_assert_eq!(row.len(), g.degree(u));
                 for (&v, s) in g.neighbor_ids(u).iter().zip(&row) {

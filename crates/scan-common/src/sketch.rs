@@ -32,7 +32,7 @@
 //! thread count.
 
 use anyscan_graph::{CsrGraph, VertexId};
-use anyscan_parallel::parallel_map_adaptive;
+use anyscan_parallel::parallel_for_each_mut_with;
 
 /// How the σ kernel uses neighborhood sketches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,16 +146,12 @@ impl NeighborhoodSketches {
         let lanes = (64 / bits) as usize;
         let words_per_vertex = rows.div_ceil(lanes);
         let n = g.num_vertices();
-        let per_vertex: Vec<Vec<u64>> = parallel_map_adaptive(threads, n, |i| {
-            let v = i as VertexId;
-            let mut words = vec![0u64; words_per_vertex];
-            sign_closed_neighborhood(g, v, rows, bits, seed, &mut words);
-            words
-        });
-        let mut data = Vec::with_capacity(n * words_per_vertex);
-        for words in per_vertex {
-            data.extend_from_slice(&words);
-        }
+        let mut data = vec![0u64; n * words_per_vertex];
+        let mut signatures: Vec<&mut [u64]> = data.chunks_mut(words_per_vertex).collect();
+        let sign = |_: &mut (), v: usize, words: &mut &mut [u64]| {
+            sign_closed_neighborhood(g, v as VertexId, rows, bits, seed, words)
+        };
+        parallel_for_each_mut_with(threads, &mut signatures, || (), sign);
         NeighborhoodSketches {
             rows,
             bits,
