@@ -44,6 +44,7 @@ pub fn pscan(g: &CsrGraph, params: ScanParams) -> AlgoOutput {
 
     // --- Cluster cores ---------------------------------------------------
     let mut dsu = DsuSeq::new(n);
+    let mut union_ops = 0;
     for u in 0..n as VertexId {
         if !is_core(&sd, u) {
             continue;
@@ -56,8 +57,8 @@ pub fn pscan(g: &CsrGraph, params: ScanParams) -> AlgoOutput {
             if dsu.same_set(u, v) {
                 continue;
             }
-            if cache.decide(&kernel, u, v) == Verdict::Similar {
-                dsu.union(u, v);
+            if cache.decide(&kernel, u, v) == Verdict::Similar && dsu.union(u, v) {
+                union_ops += 1;
             }
         }
     }
@@ -89,7 +90,6 @@ pub fn pscan(g: &CsrGraph, params: ScanParams) -> AlgoOutput {
 
     let mut clustering = Clustering { labels, roles };
     clustering.classify_noise(g);
-    let union_ops = dsu.counters().unions;
     AlgoOutput::new(clustering, kernel.stats(), union_ops)
 }
 

@@ -16,12 +16,12 @@
 //! | header       | magic `ASCK`, version u32                                  |
 //! | config       | ε f64, μ u64, α u64, β u64, threads u64, seed u64, flags u32, then (v2+) sketch rows u32, sketch bits u32, hub cap u32, hub min-degree u32, retired slot u32 ([`RETIRED_SLOT`]) |
 //! | graph        | n u64, arcs u64, edges u64, structure hash u64 (FNV-1a)    |
-//! | progress     | phase u8, phase_initialized u8, draw/work cursors u64, blocks u64, cumulative ns u64, union marks 3×u64, shared base u64 |
+//! | progress     | phase u8, phase_initialized u8, draw/work cursors u64, blocks u64, cumulative ns u64, unions per step 3×u64, retired Step-1 base u64 |
 //! | states       | n vertex-state bytes                                       |
 //! | nei          | n × u32 certified-neighbor counts                          |
 //! | super-nodes  | count u64, reps u32[], member offsets u64[], members u32[] |
 //! | memberships  | offsets u64[n+1], flat u32[] (`SN_v` per vertex)           |
-//! | dsu          | shared u8, len u64, canonical roots u32[], finds u64, unions u64 |
+//! | dsu          | retired tag u8, len u32, canonical roots u32[] (one per super-node), retired finds u64, retired union total u64 |
 //! | noise list   | count u64, vertices u32[], offsets u64[], flat `N^ε` u32[] |
 //! | work         | len u64, u32[]; aux len u64, u64[] (`u64::MAX` = none)     |
 //! | trailer      | FNV-1a 64 checksum of everything above                     |
@@ -37,6 +37,13 @@
 //! retired assist mode, which was bit-identical to off; it decodes as
 //! [`SketchMode::Off`], with its rows and bits still validated.
 //!
+//! The DSU section once came in two forms, a sequential structure during
+//! Step 1 (tag 0) and a shared one after it (tag 1), each with operation
+//! counters. Writers still write the tag, a find count of 0, and the union
+//! total and Step-1 base derived from the per-step counts; readers check
+//! the tag is 0 or 1 and read the counts through `step_unions`, so images
+//! of both forms restore.
+//!
 //! Files are written atomically: temp file in the same directory, `fsync`,
 //! rename over the target — a crash mid-write never corrupts an existing
 //! checkpoint.
@@ -46,7 +53,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-use anyscan_dsu::{AtomicDsu, DsuCounters, DsuSeq};
+use anyscan_dsu::AtomicDsu;
 use anyscan_graph::io::framing::{self, Fnv64};
 use anyscan_graph::{CsrGraph, ReorderMode, VertexId};
 use anyscan_scan_common::sketch::{self, SketchMode};
@@ -83,6 +90,40 @@ pub const ALWAYS_ON_FLAGS: u32 = (1 << 9) | (1 << 10);
 pub const MIN_VERSION: u32 = 1;
 
 const AUX_NONE: u64 = u64::MAX;
+
+/// The per-step union counts of an image. Older writers left the slot of
+/// the step in progress at 0; its count was the DSU's running union
+/// `total` minus `step1_base`, the total at the end of Step 1 (0 during
+/// Step 1). Writers now fill every slot and still derive both words, so
+/// one rule reads every image.
+fn step_unions(
+    phase: Phase,
+    slots: UnionBreakdown,
+    total: u64,
+    step1_base: u64,
+) -> Result<UnionBreakdown, AnyScanError> {
+    let live = total
+        .checked_sub(step1_base)
+        .ok_or_else(|| corrupt("DSU union total below its Step-1 base"))?;
+    Ok(match phase {
+        Phase::Summarize => UnionBreakdown {
+            step1: live,
+            step2: 0,
+            step3: 0,
+        },
+        Phase::MergeStrong => UnionBreakdown {
+            step2: live,
+            step3: 0,
+            ..slots
+        },
+        _ => UnionBreakdown {
+            step3: live
+                .checked_sub(slots.step2)
+                .ok_or_else(|| corrupt("DSU union total below the Step-2 count"))?,
+            ..slots
+        },
+    })
+}
 
 /// Structural identity of the graph a checkpoint was taken against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,15 +164,13 @@ pub struct Checkpoint {
     work_cursor: u64,
     blocks: u64,
     cumulative_ns: u64,
-    union_marks: UnionBreakdown,
-    shared_union_base: u64,
+    unions: UnionBreakdown,
     states: Vec<u8>,
     nei: Vec<u32>,
     sn_nodes: Vec<SuperNode>,
     memberships: Vec<Vec<u32>>,
-    dsu_shared: bool,
+    /// Canonical DSU roots of super-nodes `0..sn_nodes.len()`.
     dsu_roots: Vec<u32>,
-    dsu_counters: DsuCounters,
     noise: Vec<(VertexId, Vec<VertexId>)>,
     work: Vec<VertexId>,
     work_aux: Vec<Option<usize>>,
@@ -143,16 +182,6 @@ impl Checkpoint {
     /// consistent snapshot.
     pub(crate) fn capture(algo: &AnyScan<'_>) -> Checkpoint {
         let (nodes, memberships) = algo.sn.parts();
-        // Counters first: shared-DSU find() below bumps the find counter.
-        let (dsu_shared, dsu_counters, dsu_roots) = match (&algo.dsu_seq, &algo.dsu_shared) {
-            (Some(seq), _) => (false, seq.counters(), seq.roots()),
-            (None, Some(shared)) => {
-                let counters = shared.counters();
-                let roots = (0..shared.len() as u32).map(|x| shared.find(x)).collect();
-                (true, counters, roots)
-            }
-            (None, None) => unreachable!("one DSU always exists"),
-        };
         Checkpoint {
             config: algo.config,
             graph: GraphFingerprint::of(algo.graph()),
@@ -162,15 +191,12 @@ impl Checkpoint {
             work_cursor: algo.work_cursor as u64,
             blocks: algo.blocks_executed(),
             cumulative_ns: algo.cumulative.as_nanos() as u64,
-            union_marks: algo.union_marks,
-            shared_union_base: algo.shared_union_base,
+            unions: algo.unions,
             states: algo.states.raw_bytes(),
             nei: algo.nei.iter().map(|a| a.load(Ordering::Acquire)).collect(),
             sn_nodes: nodes.to_vec(),
             memberships: memberships.to_vec(),
-            dsu_shared,
-            dsu_roots,
-            dsu_counters,
+            dsu_roots: (0..nodes.len() as u32).map(|s| algo.sn_root(s)).collect(),
             noise: algo.noise_list.clone(),
             work: algo.work.clone(),
             work_aux: algo.work_aux.clone(),
@@ -263,10 +289,11 @@ impl Checkpoint {
         buf.put_u64_le(self.work_cursor);
         buf.put_u64_le(self.blocks);
         buf.put_u64_le(self.cumulative_ns);
-        buf.put_u64_le(self.union_marks.step1);
-        buf.put_u64_le(self.union_marks.step2);
-        buf.put_u64_le(self.union_marks.step3);
-        buf.put_u64_le(self.shared_union_base);
+        let after_step1 = self.phase != Phase::Summarize;
+        buf.put_u64_le(self.unions.step1);
+        buf.put_u64_le(self.unions.step2);
+        buf.put_u64_le(self.unions.step3);
+        buf.put_u64_le(if after_step1 { self.unions.step1 } else { 0 });
 
         // Vertex states and certified-neighbor counts.
         buf.put_u64_le(self.states.len() as u64);
@@ -285,12 +312,13 @@ impl Checkpoint {
         // without extending any node's member list.
         put_csr(&mut buf, self.memberships.iter().map(Vec::as_slice));
 
-        // DSU partition (canonical parent forest) + operation counters.
-        buf.put_slice(&[self.dsu_shared as u8]);
+        // DSU partition (canonical parent forest) between the retired tag,
+        // find count and union total.
+        buf.put_slice(&[after_step1 as u8]);
         buf.put_u32_le(self.dsu_roots.len() as u32);
         framing::put_u32_array(&mut buf, &self.dsu_roots);
-        buf.put_u64_le(self.dsu_counters.finds);
-        buf.put_u64_le(self.dsu_counters.unions);
+        buf.put_u64_le(0);
+        buf.put_u64_le(self.unions.total());
 
         // Noise list: vertices + their stored ε-neighborhoods as CSR.
         buf.put_u64_le(self.noise.len() as u64);
@@ -410,12 +438,12 @@ impl Checkpoint {
         let work_cursor = get_u64(&mut buf)?;
         let blocks = get_u64(&mut buf)?;
         let cumulative_ns = get_u64(&mut buf)?;
-        let union_marks = UnionBreakdown {
+        let union_slots = UnionBreakdown {
             step1: get_u64(&mut buf)?,
             step2: get_u64(&mut buf)?,
             step3: get_u64(&mut buf)?,
         };
-        let shared_union_base = get_u64(&mut buf)?;
+        let step1_base = get_u64(&mut buf)?;
         if draw_cursor > graph.n {
             return Err(corrupt(format!(
                 "draw cursor {draw_cursor} past {} vertices",
@@ -460,11 +488,10 @@ impl Checkpoint {
         let memberships = get_csr(&mut buf, n, sn_count as u32, "memberships")?;
 
         // DSU.
-        let dsu_shared = match get_u8(&mut buf)? {
-            0 => false,
-            1 => true,
-            b => return Err(corrupt(format!("invalid DSU tag {b}"))),
-        };
+        let tag = get_u8(&mut buf)?;
+        if tag > 1 {
+            return Err(corrupt(format!("invalid DSU tag {tag}")));
+        }
         let dsu_len = get_u32(&mut buf)? as usize;
         if dsu_len != sn_count {
             return Err(corrupt(format!(
@@ -472,10 +499,8 @@ impl Checkpoint {
             )));
         }
         let dsu_roots = framing::get_u32_array(&mut buf, dsu_len)?;
-        let dsu_counters = DsuCounters {
-            finds: get_u64(&mut buf)?,
-            unions: get_u64(&mut buf)?,
-        };
+        let _finds = get_u64(&mut buf)?;
+        let unions = step_unions(phase, union_slots, get_u64(&mut buf)?, step1_base)?;
 
         // Noise list.
         let noise_count = get_len(&mut buf, "noise-list length")?;
@@ -549,15 +574,12 @@ impl Checkpoint {
             work_cursor,
             blocks,
             cumulative_ns,
-            union_marks,
-            shared_union_base,
+            unions,
             states,
             nei,
             sn_nodes,
             memberships,
-            dsu_shared,
             dsu_roots,
-            dsu_counters,
             noise,
             work,
             work_aux,
@@ -668,16 +690,8 @@ impl Checkpoint {
         algo.nei = self.nei.iter().map(|&v| AtomicU32::new(v)).collect();
         algo.sn = SuperNodes::from_parts(self.sn_nodes.clone(), self.memberships.clone());
 
-        let seq = DsuSeq::from_parts(self.dsu_roots.clone(), self.dsu_counters)
+        algo.dsu = AtomicDsu::from_roots(n, &self.dsu_roots)
             .map_err(|m| AnyScanError::new(ErrorKind::Checkpoint, m))?;
-        if self.dsu_shared {
-            // A resumed run continues the checkpointed tallies.
-            algo.dsu_seq = None;
-            algo.dsu_shared = Some(AtomicDsu::from_seq(&seq));
-        } else {
-            algo.dsu_seq = Some(seq);
-            algo.dsu_shared = None;
-        }
 
         algo.noise_list = self.noise.clone();
         algo.work = self.work.clone();
@@ -688,8 +702,7 @@ impl Checkpoint {
         algo.phase_initialized = self.phase_initialized;
         algo.iteration_base = self.blocks as usize;
         algo.cumulative = Duration::from_nanos(self.cumulative_ns);
-        algo.union_marks = self.union_marks;
-        algo.shared_union_base = self.shared_union_base;
+        algo.unions = self.unions;
         Ok(algo)
     }
 
@@ -829,8 +842,10 @@ mod tests {
             assert_eq!(back.phase(), algo.phase());
             assert_eq!(back.blocks(), algo.blocks_executed());
 
-            // The restored run must finish to the same clustering.
+            // The restored run carries the union counts so far and must
+            // finish to the same clustering.
             let mut resumed = back.restore(&g, 0).expect("restore");
+            assert_eq!(resumed.union_breakdown(), algo.union_breakdown());
             let mut expected = {
                 let mut fresh = AnyScan::new(&g, toy_config());
                 fresh.run()
@@ -859,6 +874,36 @@ mod tests {
             Err(err) => assert_eq!(err.kind(), ErrorKind::Checkpoint),
             Ok(_) => panic!("fingerprint must mismatch"),
         }
+    }
+
+    /// A DSU root out of range, or one naming an element that is not a
+    /// root, fails the restore with a typed error, in Step 1 and after it.
+    #[test]
+    fn corrupt_dsu_roots_fail_the_restore() {
+        let g = toy_graph();
+        let mut algo = AnyScan::new(&g, toy_config());
+        let mut phases = Vec::new();
+        while algo.phase() != Phase::Done {
+            let ck = algo.checkpoint();
+            let len = ck.dsu_roots.len() as u32;
+            if len >= 2 {
+                phases.push(algo.phase());
+                // Element 0's root out of range; then 0 and 1 naming each
+                // other, so neither names a root.
+                for first_two in [[len, 1], [1, 0]] {
+                    let mut bad = ck.clone();
+                    bad.dsu_roots[..2].copy_from_slice(&first_two);
+                    let back = Checkpoint::from_bytes(bad.to_bytes()).expect("parses");
+                    match back.restore(&g, 0) {
+                        Err(err) => assert_eq!(err.kind(), ErrorKind::Checkpoint),
+                        Ok(_) => panic!("corrupt roots restored in {:?}", algo.phase()),
+                    }
+                }
+            }
+            algo.step();
+        }
+        assert!(phases.contains(&Phase::Summarize), "{phases:?}");
+        assert!(phases.iter().any(|&p| p != Phase::Summarize), "{phases:?}");
     }
 
     #[test]

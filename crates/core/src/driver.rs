@@ -3,7 +3,7 @@
 use std::sync::atomic::AtomicU32;
 use std::time::{Duration, Instant};
 
-use anyscan_dsu::{AtomicDsu, DsuSeq};
+use anyscan_dsu::AtomicDsu;
 use anyscan_graph::{CsrGraph, VertexId};
 use anyscan_parallel::WorkerPool;
 use anyscan_scan_common::{Clustering, Kernel, ScanParams, SimStats};
@@ -66,9 +66,9 @@ pub struct IterationRecord {
     pub cumulative: Duration,
 }
 
-/// `Union` operations per step (Fig. 12): the paper highlights that most
-/// unions happen in the sequential part of Step 1, leaving few inside the
-/// parallel critical sections of Steps 2–3.
+/// Successful `Union` operations per step (Fig. 12): the paper highlights
+/// that most unions happen in the sequential part of Step 1, leaving few
+/// inside the parallel critical sections of Steps 2–3.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnionBreakdown {
     pub step1: u64,
@@ -109,10 +109,9 @@ pub struct AnyScan<'g> {
     /// `nei(q)` of the paper: confirmed ε-neighbors including q itself.
     pub(crate) nei: Vec<AtomicU32>,
     pub(crate) sn: SuperNodes,
-    /// DSU during Step 1 (grown as super-nodes appear, sequential tail).
-    pub(crate) dsu_seq: Option<DsuSeq>,
-    /// DSU from Step 2 on (fixed element set, shared across threads).
-    pub(crate) dsu_shared: Option<AtomicDsu>,
+    /// Which super-nodes share a cluster, for the whole run. Only Step 1
+    /// creates super-nodes, one per examined core, so ids stay below |V|.
+    pub(crate) dsu: AtomicDsu,
     /// Processed-noise vertices and their stored ε-neighborhoods (Step 1's
     /// list L, consumed by Step 4).
     pub(crate) noise_list: Vec<(VertexId, Vec<VertexId>)>,
@@ -133,10 +132,8 @@ pub struct AnyScan<'g> {
     /// telemetry snapshot indices) stay globally monotone across resumes.
     pub(crate) iteration_base: usize,
     pub(crate) cumulative: Duration,
-    pub(crate) union_marks: UnionBreakdown,
-    /// Shared-DSU union count at the moment of conversion (the AtomicDsu
-    /// carries Step 1's tally over; deltas are measured from here).
-    pub(crate) shared_union_base: u64,
+    /// Successful unions so far, tallied by the step that made them.
+    pub(crate) unions: UnionBreakdown,
     /// End-of-run telemetry aggregates published already (they are additive
     /// counter bumps, so they must fire at most once per driver instance).
     telemetry_published: bool,
@@ -178,8 +175,7 @@ impl<'g> AnyScan<'g> {
             states: StateTable::new(n),
             nei: (0..n).map(|_| AtomicU32::new(1)).collect(),
             sn: SuperNodes::new(n),
-            dsu_seq: Some(DsuSeq::new(0)),
-            dsu_shared: None,
+            dsu: AtomicDsu::new(n),
             noise_list: Vec::new(),
             draw_order,
             draw_cursor: 0,
@@ -191,8 +187,7 @@ impl<'g> AnyScan<'g> {
             iterations: Vec::new(),
             iteration_base: 0,
             cumulative: Duration::ZERO,
-            union_marks: UnionBreakdown::default(),
-            shared_union_base: 0,
+            unions: UnionBreakdown::default(),
             telemetry_published: false,
             telemetry: Telemetry::disabled(),
             pool_base: PoolUtilization::default(),
@@ -239,18 +234,7 @@ impl<'g> AnyScan<'g> {
 
     /// `Union` counts per step so far (Fig. 12).
     pub fn union_breakdown(&self) -> UnionBreakdown {
-        let mut b = self.union_marks;
-        if let Some(shared) = &self.dsu_shared {
-            let since_step1 = shared.counters().unions - self.shared_union_base;
-            match self.phase {
-                Phase::MergeStrong => b.step2 = since_step1,
-                Phase::MergeWeak | Phase::Borders | Phase::ResolveRoles | Phase::Done => {
-                    b.step3 = since_step1 - b.step2;
-                }
-                _ => {}
-            }
-        }
-        b
+        self.unions
     }
 
     /// Timing records of every block iteration executed so far.
@@ -277,7 +261,6 @@ impl<'g> AnyScan<'g> {
             Phase::Summarize => {
                 let len = self.step1_block();
                 if self.draw_cursor >= self.draw_order.len() && len == 0 {
-                    self.finish_step1();
                     self.advance(Phase::MergeStrong);
                 }
                 len
@@ -288,7 +271,6 @@ impl<'g> AnyScan<'g> {
                 }
                 let len = self.step2_block();
                 if self.work_cursor >= self.work.len() {
-                    self.mark_step2_unions();
                     self.advance(Phase::MergeWeak);
                 }
                 len
@@ -299,7 +281,6 @@ impl<'g> AnyScan<'g> {
                 }
                 let len = self.step3_block();
                 if self.work_cursor >= self.work.len() {
-                    self.mark_step3_unions();
                     self.advance(Phase::Borders);
                 }
                 len
@@ -551,37 +532,10 @@ impl<'g> AnyScan<'g> {
         self.phase_initialized = true;
     }
 
-    /// Converts the growing sequential DSU into the fixed shared one at the
-    /// end of Step 1 and snapshots the step-1 union count.
-    fn finish_step1(&mut self) {
-        let seq = self.dsu_seq.take().expect("step 1 DSU present");
-        self.union_marks.step1 = seq.counters().unions;
-        let shared = AtomicDsu::from_seq(&seq);
-        self.shared_union_base = shared.counters().unions;
-        self.dsu_shared = Some(shared);
-    }
-
-    fn mark_step2_unions(&mut self) {
-        if let Some(shared) = &self.dsu_shared {
-            self.union_marks.step2 = shared.counters().unions - self.shared_union_base;
-        }
-    }
-
-    fn mark_step3_unions(&mut self) {
-        if let Some(shared) = &self.dsu_shared {
-            self.union_marks.step3 =
-                shared.counters().unions - self.shared_union_base - self.union_marks.step2;
-        }
-    }
-
-    /// Current cluster root of a super-node id, regardless of phase.
+    /// Current cluster root of a super-node id.
     #[inline]
     pub(crate) fn sn_root(&self, snid: u32) -> u32 {
-        match (&self.dsu_shared, &self.dsu_seq) {
-            (Some(shared), _) => shared.find(snid),
-            (None, Some(seq)) => seq.find_immutable(snid),
-            _ => unreachable!("one DSU always exists"),
-        }
+        self.dsu.find(snid)
     }
 
     /// Cluster root of a vertex via its first super-node membership.

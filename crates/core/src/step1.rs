@@ -116,9 +116,7 @@ impl AnyScan<'_> {
         for (&p, buf) in block.iter().zip(buffers) {
             match self.states.get(p) {
                 VertexState::ProcessedCore => {
-                    let snid = self.sn.insert(p, buf);
-                    let dsu_id = self.dsu_seq.as_mut().expect("step-1 DSU").push();
-                    debug_assert_eq!(snid, dsu_id, "super-node and DSU ids must align");
+                    self.sn.insert(p, buf);
                 }
                 VertexState::ProcessedNoise => self.noise_list.push((p, buf)),
                 // A same-block core adopted this examined non-core as a
@@ -131,21 +129,20 @@ impl AnyScan<'_> {
             Counter::SupernodesCreated,
             self.sn.len() as u64 - first_new as u64,
         );
-        let sn = &self.sn;
-        let states = &self.states;
-        let dsu = self.dsu_seq.as_mut().expect("step-1 DSU");
-        for snid in first_new..sn.len() as u32 {
-            for &q in &sn.node(snid).members {
-                if !states.get(q).is_known_core() {
+        let mut merged = 0;
+        for snid in first_new..self.sn.len() as u32 {
+            for &q in &self.sn.node(snid).members {
+                if !self.states.get(q).is_known_core() {
                     continue;
                 }
-                for &other in sn.of(q) {
-                    if other != snid {
-                        dsu.union(snid, other);
+                for &other in self.sn.of(q) {
+                    if other != snid && self.dsu.union(snid, other) {
+                        merged += 1;
                     }
                 }
             }
         }
+        self.unions.step1 += merged;
         block.len()
     }
 }

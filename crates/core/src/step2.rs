@@ -7,7 +7,7 @@
 //! (phase B, shared DSU).
 
 use anyscan_graph::VertexId;
-use anyscan_parallel::{parallel_for_adaptive, parallel_map_adaptive};
+use anyscan_parallel::{parallel_map_adaptive, parallel_reduce_adaptive};
 use anyscan_telemetry::{Counter, Recorder};
 
 use crate::driver::AnyScan;
@@ -42,7 +42,7 @@ impl AnyScan<'_> {
         let block: Vec<VertexId> = self.work[start..end].to_vec();
         let threads = self.config.threads;
         let this: &AnyScan<'_> = &*self;
-        let dsu = this.dsu_shared.as_ref().expect("shared DSU after step 1");
+        let dsu = &this.dsu;
 
         // Phase A: prune + early-exit core check; each vertex touches only
         // its own state.
@@ -60,20 +60,25 @@ impl AnyScan<'_> {
             this.decide_core(p)
         });
 
-        // Phase B: Lemma-2 unions for confirmed cores.
-        parallel_for_adaptive(threads, block.len(), |range| {
-            for i in range {
+        // Phase B: Lemma-2 unions for confirmed cores, counting the merges.
+        let merged: u64 = parallel_reduce_adaptive(
+            threads,
+            block.len(),
+            || 0,
+            |merged, i| {
                 if !merges[i] {
-                    continue;
+                    return;
                 }
-                let sns = this.sn.of(block_ref[i]);
-                for w in sns.windows(2) {
-                    if dsu.find(w[0]) != dsu.find(w[1]) {
-                        dsu.union(w[0], w[1]);
+                for w in this.sn.of(block_ref[i]).windows(2) {
+                    if dsu.union(w[0], w[1]) {
+                        *merged += 1;
                     }
                 }
-            }
-        });
+            },
+        )
+        .into_iter()
+        .sum();
+        self.unions.step2 += merged;
         block.len()
     }
 

@@ -9,7 +9,7 @@
 //! success (Lemma 3).
 
 use anyscan_graph::VertexId;
-use anyscan_parallel::{parallel_for_adaptive, parallel_map_adaptive};
+use anyscan_parallel::{parallel_map_adaptive, parallel_reduce_adaptive};
 use anyscan_telemetry::{Counter, Recorder};
 
 use crate::driver::AnyScan;
@@ -49,7 +49,7 @@ impl AnyScan<'_> {
         let threads = self.config.threads;
         let this: &AnyScan<'_> = &*self;
         let g = this.kernel.graph();
-        let dsu = this.dsu_shared.as_ref().expect("shared DSU after step 1");
+        let dsu = &this.dsu;
 
         // Phase A: prune + core check.
         let block_ref = &block;
@@ -82,11 +82,15 @@ impl AnyScan<'_> {
             this.decide_core(p)
         });
 
-        // Phase B: σ across straddling core–core edges; union on ≥ ε.
-        parallel_for_adaptive(threads, block.len(), |range| {
-            for i in range {
+        // Phase B: σ across straddling core–core edges; union on ≥ ε,
+        // counting the merges.
+        let merged: u64 = parallel_reduce_adaptive(
+            threads,
+            block.len(),
+            || 0,
+            |merged, i| {
                 if !merges[i] {
-                    continue;
+                    return;
                 }
                 let p = block_ref[i];
                 let sp = this.sn.first_of(p).expect("core has a super-node");
@@ -99,12 +103,15 @@ impl AnyScan<'_> {
                     if rp == rq {
                         continue;
                     }
-                    if this.kernel.is_eps_neighbor(p, q) {
-                        dsu.union(rp, rq);
+                    if this.kernel.is_eps_neighbor(p, q) && dsu.union(rp, rq) {
+                        *merged += 1;
                     }
                 }
-            }
-        });
+            },
+        )
+        .into_iter()
+        .sum();
+        self.unions.step3 += merged;
         block.len()
     }
 }

@@ -8,9 +8,8 @@ use anyscan_graph::VertexId;
 pub struct SuperNode {
     /// The examined core this super-node summarizes.
     pub rep: VertexId,
-    /// `N^ε_rep`, including `rep` itself. For the singleton super-nodes
-    /// created for summarization-less cores before Step 3, this is just
-    /// `[rep]`.
+    /// `N^ε_rep`, including `rep` itself. Step 1 creates every super-node,
+    /// one per examined core, so there are at most |V| of them.
     pub members: Vec<VertexId>,
 }
 

@@ -12,17 +12,13 @@
 //! with its current grandparent, which preserves the set structure. Ranks are
 //! updated racily, which can only cost balance, never correctness.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-use crate::DsuCounters;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Concurrent disjoint-set structure with lock-free `find` and `union`.
 #[derive(Debug)]
 pub struct AtomicDsu {
     parent: Vec<AtomicU32>,
     rank: Vec<AtomicU32>,
-    unions: AtomicU64,
-    finds: AtomicU64,
 }
 
 impl AtomicDsu {
@@ -32,23 +28,35 @@ impl AtomicDsu {
         AtomicDsu {
             parent: (0..n as u32).map(AtomicU32::new).collect(),
             rank: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            unions: AtomicU64::new(0),
-            finds: AtomicU64::new(0),
         }
     }
 
-    /// Builds from an existing sequential structure (set partition is
-    /// preserved; counters restart at the sequential structure's values).
-    pub fn from_seq(seq: &crate::DsuSeq) -> Self {
-        let n = seq.len();
-        let d = AtomicDsu::new(n);
-        for x in 0..n as u32 {
-            let r = seq.find_immutable(x);
-            d.parent[x as usize].store(r, Ordering::Relaxed);
+    /// Rebuilds `n` elements from a canonical root array over the first
+    /// `roots.len()` of them (e.g. loaded from a checkpoint); the rest start
+    /// as singletons. Canonical means every entry names its set's root,
+    /// which names itself (`roots[roots[x]] == roots[x]`), as
+    /// [`find`](Self::find) over every element yields. Ranks restart at
+    /// zero: union by rank stays correct, only tree shapes differ.
+    pub fn from_roots(n: usize, roots: &[u32]) -> Result<AtomicDsu, String> {
+        let len = roots.len();
+        if len > n {
+            return Err(format!("{len} roots for {n} elements"));
         }
-        d.unions.store(seq.counters().unions, Ordering::Relaxed);
-        d.finds.store(seq.counters().finds, Ordering::Relaxed);
-        d
+        for (x, &r) in roots.iter().enumerate() {
+            if r as usize >= len {
+                return Err(format!("element {x}: root {r} out of range"));
+            }
+            if roots[r as usize] != r {
+                return Err(format!(
+                    "element {x}: parent {r} is not a root (forest not canonical)"
+                ));
+            }
+        }
+        let d = AtomicDsu::new(n);
+        for (p, &r) in d.parent.iter().zip(roots) {
+            p.store(r, Ordering::Relaxed);
+        }
+        Ok(d)
     }
 
     /// Number of distinct sets (linear scan; call it outside hot loops).
@@ -75,7 +83,6 @@ impl AtomicDsu {
 
     /// Returns the current representative of `x`'s set.
     pub fn find(&self, mut x: u32) -> u32 {
-        self.finds.fetch_add(1, Ordering::Relaxed);
         loop {
             let p = self.parent[x as usize].load(Ordering::Acquire);
             if p == x {
@@ -131,7 +138,6 @@ impl AtomicDsu {
                             Ordering::Relaxed,
                         );
                     }
-                    self.unions.fetch_add(1, Ordering::Relaxed);
                     return true;
                 }
                 Err(_) => {
@@ -157,14 +163,6 @@ impl AtomicDsu {
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
     }
-
-    /// Snapshot of the operation counters.
-    pub fn counters(&self) -> DsuCounters {
-        DsuCounters {
-            finds: self.finds.load(Ordering::Relaxed),
-            unions: self.unions.load(Ordering::Relaxed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +182,6 @@ mod tests {
         assert!(d.same_set(1, 3));
         assert!(!d.same_set(1, 2));
         assert_eq!(d.num_sets(), 2);
-        assert_eq!(d.counters().unions, 3);
     }
 
     #[test]
@@ -203,23 +200,32 @@ mod tests {
                 assert!(d.same_set(a, b));
             }
         }
-        assert_eq!(d.counters().unions, 3);
         assert!(AtomicDsu::new(0).is_empty());
     }
 
     #[test]
-    fn from_seq_preserves_partition() {
-        let mut s = DsuSeq::new(8);
+    fn from_roots_preserves_partition() {
+        let s = AtomicDsu::new(8);
         s.union(0, 3);
-        s.union(3, 7);
+        s.union(3, 5);
         s.union(1, 2);
-        let d = AtomicDsu::from_seq(&s);
-        for x in 0..8u32 {
-            for y in 0..8u32 {
-                assert_eq!(d.same_set(x, y), s.same_set(x, y), "({x},{y})");
-            }
-        }
-        assert_eq!(d.counters().unions, s.counters().unions);
+        // Roots over the first six elements; 6 and 7 start as singletons.
+        let roots: Vec<u32> = (0..6).map(|x| s.find(x)).collect();
+        let d = AtomicDsu::from_roots(8, &roots).unwrap();
+        assert_eq!(d.len(), 8);
+        assert_eq!(d.labeling(), s.labeling());
+        assert!(d.union(5, 7));
+        assert!(d.same_set(0, 7));
+    }
+
+    #[test]
+    fn from_roots_rejects_invalid_forests() {
+        assert!(AtomicDsu::from_roots(3, &[0, 1, 2]).is_ok());
+        // Out of range, non-canonical (1 points at 2, which is not a root),
+        // and more roots than elements.
+        assert!(AtomicDsu::from_roots(3, &[5, 0, 0]).is_err());
+        assert!(AtomicDsu::from_roots(3, &[1, 2, 2]).is_err());
+        assert!(AtomicDsu::from_roots(2, &[0, 1, 2]).is_err());
     }
 
     #[test]
@@ -275,7 +281,6 @@ mod tests {
                 merged.load(Ordering::Relaxed),
                 (n as usize - d.num_sets()) as u64
             );
-            assert_eq!(d.counters().unions, merged.load(Ordering::Relaxed));
             // Partition equality with the sequential run.
             let mut seq_labels = seq.labeling();
             let atomic_labels = d.labeling();

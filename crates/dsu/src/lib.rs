@@ -6,25 +6,17 @@
 //! provides:
 //!
 //! * [`DsuSeq`] — the textbook sequential structure (union by rank, path
-//!   halving) with `Find`/`Union` operation counters, used by the sequential
-//!   algorithms, by pSCAN and by Step 1 of the anytime driver. The counters
-//!   feed Fig. 12.
+//!   halving), used by the sequential baselines and the similarity index.
 //! * [`AtomicDsu`] — a lock-free union-find (CAS parent updates, union by
 //!   rank, path halving) usable concurrently from many threads without any
-//!   critical section. It replaces the paper's critical section around the
-//!   Step 2–3 unions of the parallel driver.
+//!   critical section. The anytime driver keeps one for its whole run: it
+//!   replaces the paper's critical section around the Step 2–3 unions.
+//!
+//! Neither structure counts its operations: `union` returns whether it
+//! merged two sets, and callers tally those (Fig. 12's union counts).
 
 pub mod atomic;
 pub mod seq;
 
 pub use atomic::AtomicDsu;
 pub use seq::DsuSeq;
-
-/// Operation counts of a disjoint-set structure (Fig. 12's y-axis).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DsuCounters {
-    /// Number of `find` calls.
-    pub finds: u64,
-    /// Number of `union` calls that actually merged two distinct sets.
-    pub unions: u64,
-}

@@ -10,7 +10,6 @@
 //!
 //! All generators are deterministic functions of their seed.
 
-pub mod classic;
 pub mod datasets;
 pub mod degree_seq;
 pub mod erdos_renyi;
@@ -19,7 +18,6 @@ pub mod rmat;
 pub mod sbm;
 pub mod weights;
 
-pub use classic::{barabasi_albert, watts_strogatz};
 pub use datasets::{Dataset, DatasetId};
 pub use erdos_renyi::erdos_renyi;
 pub use lfr::{lfr, LfrParams};

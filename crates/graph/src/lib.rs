@@ -14,7 +14,7 @@
 //!   degree and clustering coefficient, R-MAT/Kronecker).
 //! * [`stats`] — exact degree / triangle / clustering-coefficient statistics
 //!   matching the columns of Tables I and II of the paper.
-//! * [`traversal`] — BFS and connected-component utilities.
+//! * [`traversal`] — connected components.
 //! * [`reorder`] — cache-locality vertex reorderings (degree-descending,
 //!   BFS/Cuthill–McKee) with a [`VertexPermutation`] that round-trips labels
 //!   back to original vertex ids.
@@ -39,7 +39,6 @@ pub mod builder;
 pub mod csr;
 pub mod gen;
 pub mod io;
-pub mod kcore;
 pub mod reorder;
 pub mod stats;
 pub mod transform;

@@ -1,34 +1,8 @@
-//! Graph transformations: induced subgraphs and vertex relabelings.
+//! Graph transformations: vertex relabelings.
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::types::VertexId;
-
-/// Extracts the subgraph induced by `vertices` (duplicates ignored).
-/// Returns the subgraph and the mapping `new id → old id`.
-pub fn induced_subgraph(g: &CsrGraph, vertices: &[VertexId]) -> (CsrGraph, Vec<VertexId>) {
-    let mut keep: Vec<VertexId> = vertices.to_vec();
-    keep.sort_unstable();
-    keep.dedup();
-    let mut old_to_new = vec![u32::MAX; g.num_vertices()];
-    for (new, &old) in keep.iter().enumerate() {
-        old_to_new[old as usize] = new as u32;
-    }
-    let mut b = GraphBuilder::new(keep.len());
-    for &old in &keep {
-        let new_u = old_to_new[old as usize];
-        for (q, w) in g.neighbors(old) {
-            if q <= old {
-                continue; // each edge once; skips the self-loop too
-            }
-            let new_v = old_to_new[q as usize];
-            if new_v != u32::MAX {
-                b.add_edge(new_u, new_v, w);
-            }
-        }
-    }
-    (b.build(), keep)
-}
 
 /// Relabels the graph by the given permutation: vertex `v` becomes
 /// `perm[v]`. `perm` must be a bijection over `0..n`.
@@ -91,28 +65,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let g = sample();
-        let (sub, map) = induced_subgraph(&g, &[1, 2, 4]);
-        assert_eq!(map, vec![1, 2, 4]);
-        assert_eq!(sub.num_vertices(), 3);
-        // Internal edges: (1,2) and (1,4).
-        assert_eq!(sub.num_edges(), 2);
-        assert_eq!(sub.edge_weight(0, 1), Some(0.5)); // old (1,2)
-        assert_eq!(sub.edge_weight(0, 2), Some(0.75)); // old (1,4)
-        assert_eq!(sub.edge_weight(1, 2), None);
-        sub.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn induced_subgraph_deduplicates_input() {
-        let g = sample();
-        let (sub, map) = induced_subgraph(&g, &[4, 1, 4, 2, 1]);
-        assert_eq!(map, vec![1, 2, 4]);
-        assert_eq!(sub.num_edges(), 2);
-    }
-
-    #[test]
     fn relabel_is_an_isomorphism() {
         let g = sample();
         let perm: Vec<u32> = vec![5, 4, 3, 2, 1, 0];
@@ -145,13 +97,5 @@ mod tests {
         let g = sample();
         let perm: Vec<u32> = g.vertices().collect();
         assert_eq!(relabel(&g, &perm), g);
-    }
-
-    #[test]
-    fn empty_selection() {
-        let g = sample();
-        let (sub, map) = induced_subgraph(&g, &[]);
-        assert_eq!(sub.num_vertices(), 0);
-        assert!(map.is_empty());
     }
 }

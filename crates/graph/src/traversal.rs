@@ -1,9 +1,8 @@
-//! Breadth-first traversal and connected components.
+//! Connected components by breadth-first traversal.
 
 use std::collections::VecDeque;
 
 use crate::csr::CsrGraph;
-use crate::types::VertexId;
 
 /// Assigns a component id to every vertex; ids are dense, in order of the
 /// lowest vertex id in each component. Returns `(component_of, count)`.
@@ -32,35 +31,6 @@ pub fn connected_components(g: &CsrGraph) -> (Vec<u32>, usize) {
     (comp, next as usize)
 }
 
-/// BFS distances (in hops) from `source`; unreachable vertices get `u32::MAX`.
-pub fn bfs_distances(g: &CsrGraph, source: VertexId) -> Vec<u32> {
-    let n = g.num_vertices();
-    let mut dist = vec![u32::MAX; n];
-    dist[source as usize] = 0;
-    let mut queue = VecDeque::new();
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in g.neighbor_ids(u) {
-            if dist[v as usize] == u32::MAX {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-/// Size of the largest connected component.
-pub fn largest_component_size(g: &CsrGraph) -> usize {
-    let (comp, k) = connected_components(g);
-    let mut sizes = vec![0usize; k];
-    for c in comp {
-        sizes[c as usize] += 1;
-    }
-    sizes.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,14 +46,6 @@ mod tests {
         assert_eq!(comp[3], comp[4]);
         assert_ne!(comp[0], comp[3]);
         assert_ne!(comp[3], comp[5]);
-        assert_eq!(largest_component_size(&g), 3);
-    }
-
-    #[test]
-    fn bfs_distances_on_path() {
-        let g = GraphBuilder::from_unweighted_edges(5, vec![(0, 1), (1, 2), (2, 3)]).unwrap();
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d, vec![0, 1, 2, 3, u32::MAX]);
     }
 
     #[test]
@@ -92,6 +54,5 @@ mod tests {
         let (comp, k) = connected_components(&g);
         assert_eq!(k, 1);
         assert_eq!(comp, vec![0]);
-        assert_eq!(bfs_distances(&g, 0), vec![0]);
     }
 }
